@@ -1,11 +1,13 @@
-// Host-side microbenchmark (real CPU time): GF(2^8) region kernels and
+// Host-side microbenchmark (real CPU time): GF(2^8) region kernels,
 // Reed-Solomon encode/decode bandwidth — the software EC cost the
-// RS-Encoder RTL kernel offloads.
+// RS-Encoder RTL kernel offloads — and the CRC-32C the integrity path
+// computes per block.
 #include <benchmark/benchmark.h>
 
 #include <optional>
 #include <vector>
 
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "ec/reed_solomon.hpp"
 #include "gf/gf256.hpp"
@@ -72,6 +74,15 @@ void BM_RsDecodeTwoErasures(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RsDecodeTwoErasures)->Arg(4096)->Arg(128 * 1024);
+
+void BM_Crc32c(benchmark::State& state) {
+  auto data = random_bytes(static_cast<std::size_t>(state.range(0)), 5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(16 * 1024);
 
 }  // namespace
 

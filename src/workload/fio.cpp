@@ -1,5 +1,6 @@
 #include "workload/fio.hpp"
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -28,12 +29,23 @@ bool is_random(RwMode mode) {
 namespace {
 
 /// Deterministic per-block payload so verify mode can check reads without
-/// storing a shadow copy: byte i of block at `offset` = f(offset, i).
+/// storing a shadow copy: byte i of block at `offset` = f(offset, i). Each
+/// RNG draw fills 8 bytes, copied in host byte order (little-endian on every
+/// host this builds for). The full words take a fixed-size copy, which
+/// compiles to one store.
 std::vector<std::uint8_t> block_pattern(std::uint64_t offset, std::uint64_t bs,
                                         std::uint64_t seed) {
   Rng rng(seed ^ (offset * 0x9e3779b97f4a7c15ULL));
   std::vector<std::uint8_t> v(bs);
-  for (auto& b : v) b = static_cast<std::uint8_t>(rng.below(256));
+  std::uint64_t i = 0;
+  for (; i + 8 <= bs; i += 8) {
+    const std::uint64_t word = rng.next();
+    std::memcpy(v.data() + i, &word, 8);
+  }
+  if (i < bs) {  // partial last word
+    const std::uint64_t word = rng.next();
+    std::memcpy(v.data() + i, &word, bs - i);
+  }
   return v;
 }
 

@@ -3,6 +3,7 @@
 
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/crc32c.hpp"
@@ -205,22 +206,32 @@ TEST(Result, HoldsValueOrStatus) {
   EXPECT_EQ(e.status().code(), Errc::not_found);
 }
 
+// Both CRC-32C implementations: the dispatching entry point (SSE4.2 on
+// x86-64 CPUs that have it) and the portable table loop.
+using Crc32cFn = std::uint32_t (*)(std::span<const std::uint8_t>,
+                                   std::uint32_t);
+const std::pair<const char*, Crc32cFn> kCrc32cPaths[] = {
+    {"crc32c", &crc32c},
+    {"crc32c_table", &detail::crc32c_table},
+};
+
 // RFC 3720 appendix B.4 test vectors for CRC-32C — the contract the whole
 // integrity subsystem (and the TCP offload's segment digest) rests on.
 TEST(Crc32c, Rfc3720KnownVectors) {
   const std::vector<std::uint8_t> zeros(32, 0x00);
-  EXPECT_EQ(crc32c(zeros), 0x8a9136aau);
-
   const std::vector<std::uint8_t> ones(32, 0xff);
-  EXPECT_EQ(crc32c(ones), 0x62a8ab43u);
-
   std::vector<std::uint8_t> ascending(32), descending(32);
   for (unsigned i = 0; i < 32; ++i) {
     ascending[i] = static_cast<std::uint8_t>(i);
     descending[i] = static_cast<std::uint8_t>(31 - i);
   }
-  EXPECT_EQ(crc32c(ascending), 0x46dd794eu);
-  EXPECT_EQ(crc32c(descending), 0x113fdb5cu);
+  for (const auto& [name, crc] : kCrc32cPaths) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(crc(zeros, 0), 0x8a9136aau);
+    EXPECT_EQ(crc(ones, 0), 0x62a8ab43u);
+    EXPECT_EQ(crc(ascending, 0), 0x46dd794eu);
+    EXPECT_EQ(crc(descending, 0), 0x113fdb5cu);
+  }
 }
 
 TEST(Crc32c, Rfc3720IscsiReadCommandVector) {
@@ -230,7 +241,53 @@ TEST(Crc32c, Rfc3720IscsiReadCommandVector) {
       0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
   };
-  EXPECT_EQ(crc32c(pdu), 0xd9963a56u);
+  for (const auto& [name, crc] : kCrc32cPaths) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(crc(pdu, 0), 0xd9963a56u);
+  }
+}
+
+bool cpu_has_sse42() {
+#if defined(__x86_64__)
+  return __builtin_cpu_supports("sse4.2");
+#else
+  return false;
+#endif
+}
+
+// The SSE4.2 path against the table loop: chained at every split point of a
+// 64-byte buffer, and over every length up to 64 bytes plus a few block
+// sizes from odd, unaligned starts.
+TEST(Crc32c, HardwarePathMatchesTablePath) {
+  if (!cpu_has_sse42()) GTEST_SKIP() << "CPU has no SSE4.2: no fast path";
+  std::vector<std::uint8_t> buf(2 * kChecksumBlockBytes + 16);
+  Rng rng(5);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  const std::span<const std::uint8_t> all(buf);
+
+  const auto whole = all.first(64);
+  const std::uint32_t expect = detail::crc32c_table(whole);
+  for (std::size_t split = 0; split <= whole.size(); ++split) {
+    EXPECT_EQ(crc32c(whole.subspan(split), crc32c(whole.first(split))),
+              expect)
+        << "split at " << split;
+    EXPECT_EQ(detail::crc32c_table(whole.subspan(split),
+                                   detail::crc32c_table(whole.first(split))),
+              expect)
+        << "table path, split at " << split;
+  }
+
+  for (std::size_t start = 1; start < 16; start += 2) {
+    for (std::size_t len = 0; len <= 64; ++len)
+      EXPECT_EQ(crc32c(all.subspan(start, len)),
+                detail::crc32c_table(all.subspan(start, len)))
+          << "start " << start << " len " << len;
+    for (const std::size_t len : {kChecksumBlockBytes - 1, kChecksumBlockBytes,
+                                  2 * kChecksumBlockBytes + 1})
+      EXPECT_EQ(crc32c(all.subspan(start, len), 0x1234abcdu),
+                detail::crc32c_table(all.subspan(start, len), 0x1234abcdu))
+          << "start " << start << " len " << len;
+  }
 }
 
 TEST(Crc32c, ChainingMatchesOneShot) {

@@ -63,17 +63,77 @@ TEST(Gf256, PowMatchesRepeatedMul) {
   }
 }
 
+// Both region paths against scalar multiplication, for every coefficient:
+// the dispatching entry point (AVX2 plus a table-loop tail on CPUs that have
+// it) and the portable table loop on its own.
 TEST(Gf256, RegionOpsMatchScalar) {
   Rng rng(9);
-  std::vector<std::uint8_t> src(257), dst(257), expect(257);
+  std::vector<std::uint8_t> src(257), dst(257);
   for (auto& b : src) b = static_cast<std::uint8_t>(rng.below(256));
   for (auto& b : dst) b = static_cast<std::uint8_t>(rng.below(256));
-  expect = dst;
-  const std::uint8_t c = 0x37;
-  for (std::size_t i = 0; i < src.size(); ++i)
-    expect[i] ^= gf::mul(c, src[i]);
-  gf::mul_add_region(c, src, dst);
-  EXPECT_EQ(dst, expect);
+  for (unsigned c = 0; c < 256; ++c) {
+    const auto coeff = static_cast<std::uint8_t>(c);
+    std::vector<std::uint8_t> expect = dst;
+    for (std::size_t i = 0; i < src.size(); ++i)
+      expect[i] ^= gf::mul(coeff, src[i]);
+    std::vector<std::uint8_t> fast = dst, table = dst;
+    gf::mul_add_region(coeff, src, fast);
+    gf::detail::mul_add_region_table(coeff, src, table);
+    ASSERT_EQ(fast, expect) << "c=" << c;
+    ASSERT_EQ(table, expect) << "table path, c=" << c;
+  }
+}
+
+bool cpu_has_avx2() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+// The AVX2 split-nibble path against the portable table loop: every
+// coefficient, lengths around the 32-byte vector step and the 4 KiB chunk
+// size, and misaligned source and destination starts.
+TEST(Gf256, SimdRegionMatchesTablePath) {
+  if (!cpu_has_avx2()) GTEST_SKIP() << "CPU has no AVX2: no fast path to test";
+  constexpr std::size_t kMax = 32 * 1024 + 7;
+  Rng rng(21);
+  std::vector<std::uint8_t> src(kMax + 8), base(kMax + 8);
+  for (auto& b : src) b = static_cast<std::uint8_t>(rng.next());
+  for (auto& b : base) b = static_cast<std::uint8_t>(rng.next());
+  std::vector<std::uint8_t> fast, table;
+
+  // Both destinations span the written window plus its misalignment slack,
+  // so a stray write past either end shows up as a mismatch too.
+  auto check = [&](unsigned c, std::size_t len, std::size_t so,
+                   std::size_t doff) {
+    fast.assign(base.data(), base.data() + len + 8);
+    table = fast;
+    const auto coeff = static_cast<std::uint8_t>(c);
+    const std::span<const std::uint8_t> in(src.data() + so, len);
+    gf::mul_add_region(coeff, in, std::span(fast.data() + doff, len));
+    gf::detail::mul_add_region_table(coeff, in,
+                                     std::span(table.data() + doff, len));
+    ASSERT_EQ(fast, table) << "c=" << c << " len=" << len << " src+" << so
+                           << " dst+" << doff;
+  };
+
+  for (unsigned c = 0; c < 256; ++c) {
+    for (std::size_t len = 0; len <= 65; ++len) {
+      for (std::size_t so = 0; so < 8; ++so)
+        for (std::size_t doff = 0; doff < 8; ++doff) check(c, len, so, doff);
+      if (HasFatalFailure()) return;
+    }
+    // Long regions: every source offset, each paired with another
+    // destination offset.
+    for (const std::size_t len : {std::size_t{4095}, std::size_t{4096},
+                                  std::size_t{4097}, kMax}) {
+      for (std::size_t so = 0; so < 8; ++so)
+        check(c, len, so, (so * 5 + 3) % 8);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(GfMatrix, IdentityMultiplication) {

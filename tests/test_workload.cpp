@@ -69,6 +69,33 @@ TEST(FioEngine, VerifyModeDetectsCorrectData) {
       << "every read must return the prefill pattern";
 }
 
+TEST(FioEngine, VerifyModeDetectsWrongData) {
+  sim::Simulator sim;
+  auto cfg = small_config(core::VariantKind::delibak);
+  cfg.image_size = 4 * MiB;
+  core::Framework fw(sim, cfg);
+  FioEngine engine(fw);
+  FioJobSpec spec;
+  spec.rw = RwMode::rand_read;
+  spec.bs = 4096;
+  spec.iodepth = 4;
+  spec.ramp = 0;
+  spec.seed = 1;
+  spec.prefill = true;
+  spec.runtime = 0;  // prefill only
+  engine.run(spec);
+
+  // Same image, read back expecting another seed's pattern.
+  spec.seed = 2;
+  spec.prefill = false;
+  spec.verify = true;
+  spec.runtime = ms(60);
+  auto r = engine.run(spec);
+  EXPECT_GT(r.ops, 0u);
+  EXPECT_GE(r.verify_errors, r.ops)
+      << "every read of seed-1 data must fail a seed-2 verify";
+}
+
 TEST(FioEngine, HigherIodepthRaisesThroughput) {
   auto tput = [](unsigned qd) {
     sim::Simulator sim;
