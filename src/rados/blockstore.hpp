@@ -4,7 +4,8 @@
 // application. This blockstore puts a write-ahead journal plus a modeled
 // data area underneath it (ROADMAP item 3), giving the reproduction the
 // three things the paper's latency story leaves out: write amplification,
-// fsync stalls, and power-loss recovery.
+// fsync stalls, and power-loss recovery. It is the OSD's only crash
+// journal; integrity mode adds block checksums on top of it.
 //
 // Layout model. Every durable mutation first lands in the journal as one
 // record — a fixed header (lsn, object key, offset, payload length) plus the

@@ -122,10 +122,8 @@ void Cluster::set_validator(PipelineValidator* validator) {
 }
 
 void Cluster::restart_osd(int id) {
-  // Crash recovery runs before the OSD takes traffic again: surviving
-  // write intents (torn or unretired applies) are re-applied in full,
-  // refreshing checksum metadata. With a blockstore armed the journal is
-  // replayed instead: intact records apply, the torn tail is discarded.
+  // Crash recovery runs before the OSD takes traffic again: the blockstore
+  // journal replays (intact records apply, the torn tail is discarded).
   const std::size_t replayed = osd(id).replay_journal();
   if (replayed > 0) {
     torn_writes_replayed_ += replayed;
@@ -150,6 +148,10 @@ void Cluster::arm_faults(sim::FaultInjector& faults) {
   for (const auto& ev : faults.plan().osd_crashes) {
     DK_CHECK(ev.osd >= 0 && static_cast<std::size_t>(ev.osd) < osds_.size())
         << "fault plan crashes OSD " << ev.osd << " out of range";
+    DK_CHECK(!ev.torn_write || config_.blockstore.enabled)
+        << "fault plan tears a write on OSD " << ev.osd
+        << " without a blockstore: the torn WAL record is the only "
+           "torn-write model";
     const int id = ev.osd;
     const bool torn = ev.torn_write;
     sim_.schedule_at(ev.crash_at, [this, id, torn] {

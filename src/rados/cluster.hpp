@@ -47,8 +47,8 @@ struct ClusterConfig {
   OsdConfig osd;
   net::FabricConfig fabric;
   std::uint64_t seed = 1;
-  // Arm OSD-side integrity: per-block checksums + write-intent journaling
-  // in every object store, checksum verification before read replies.
+  // Arm OSD-side integrity: per-block checksums in every object store,
+  // checksum verification before read replies.
   bool integrity = false;
   // Arm the journaled blockstore under every OSD: WAL records + modeled
   // data area with append/fsync/compaction costs (enabled = false keeps
@@ -104,15 +104,16 @@ class Cluster {
   /// OSD crash/restart schedule (crash -> drop all messages -> monitor
   /// mark-out after the grace period -> optional restart). Call once, after
   /// construction; the plan's events are scheduled relative to sim-now.
+  /// A torn-write crash requires a blockstore (DK_CHECK).
   void arm_faults(sim::FaultInjector& faults);
 
   /// Immediate OSD process crash (down + in-flight state lost); messages to
   /// and from the OSD are dropped until restart_osd(). Also usable directly
   /// by tests without a FaultPlan.
   void crash_osd(int id);
-  /// Bring a crashed OSD back: down/out cleared, placement restored. In
-  /// integrity mode the OSD first replays its write-intent journal,
-  /// finishing any write a crash tore mid-apply.
+  /// Bring a crashed OSD back: down/out cleared, placement restored. With a
+  /// blockstore armed the OSD first replays its journal: intact records
+  /// apply, a torn tail record is discarded.
   void restart_osd(int id);
 
   bool integrity() const { return config_.integrity; }

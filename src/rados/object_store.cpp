@@ -19,49 +19,61 @@ void ObjectStore::store_bytes(const ObjectKey& key, std::uint64_t offset,
             obj.begin() + static_cast<std::ptrdiff_t>(offset));
 }
 
-void ObjectStore::refresh_checksums(const ObjectKey& key, std::uint64_t offset,
-                                    std::uint64_t length,
-                                    std::span<const std::uint32_t> provided) {
-  auto it = objects_.find(key);
-  if (it == objects_.end() || it->second.empty()) return;
-  const auto& obj = it->second;
+void ObjectStore::write(const ObjectKey& key, std::uint64_t offset,
+                        std::span<const std::uint8_t> data,
+                        std::span<const std::uint32_t> checksums) {
+  if (data.empty()) return;
+  if (!integrity_) {
+    store_bytes(key, offset, data);
+    return;
+  }
+  const std::uint64_t old_size = object_size(key);
+  const std::uint64_t end = offset + data.size();
+  const std::uint64_t first = offset / kBlock;
+  const std::uint64_t last = (end - 1) / kBlock;
+  // Zero fill grows a partial old tail block below the write and creates
+  // whole blocks between it and `offset`; they need checksums too. A full
+  // old tail block is untouched and keeps its CRC.
+  const std::uint64_t start = std::min(first, old_size / kBlock);
+
+  // A block that keeps stored bytes this write does not replace may only be
+  // re-checksummed if it verifies now; otherwise a media flip in the kept
+  // bytes would get a fresh, matching CRC. Only the range's two edge
+  // blocks can keep old bytes (a block between `start` and `first` holds
+  // none), so only they are checked.
+  auto keeps_unverified_bytes = [&](std::uint64_t b) {
+    const std::uint64_t lo = b * kBlock;
+    const std::uint64_t hi = std::min(lo + kBlock, old_size);
+    return lo < old_size && (lo < offset || hi > end) && !verify(key, lo, 1);
+  };
+  const bool stale_start = keeps_unverified_bytes(start);
+  const bool stale_last = keeps_unverified_bytes(last);
+
+  store_bytes(key, offset, data);
+  const auto& obj = objects_[key];
   auto& cs = checksums_[key];
-  const std::uint64_t old_blocks = cs.size();
   cs.resize((obj.size() + kBlock - 1) / kBlock, 0);
-  // Zero-extension may have created whole blocks below `offset` that never
-  // had a checksum, and can grow a formerly partial tail block; refresh
-  // from the old tail block or the write start, whichever comes first.
-  const std::uint64_t old_tail = old_blocks > 0 ? old_blocks - 1 : 0;
-  const std::uint64_t first =
-      std::min<std::uint64_t>(offset / kBlock, old_tail);
-  const std::uint64_t last = (offset + length - 1) / kBlock;
-  for (std::uint64_t b = first; b <= last && b < cs.size(); ++b) {
+  // A client-provided checksum is only usable when this write fully covers
+  // the block (and the write was block-aligned, so indices map).
+  const bool aligned = offset % kBlock == 0;
+  for (std::uint64_t b = start; b <= last; ++b) {
+    // A stale block keeps its old CRC: verify() keeps failing until a
+    // write replaces the whole block (read-repair, scrub repair).
+    if ((b == start && stale_start) || (b == last && stale_last)) continue;
     const std::uint64_t block_start = b * kBlock;
     const std::uint64_t block_len =
         std::min<std::uint64_t>(kBlock, obj.size() - block_start);
-    // A client-provided checksum is only usable when this write fully
-    // covers the block (and the write was block-aligned, so indices map).
-    const bool aligned = offset % kBlock == 0;
-    const std::uint64_t j = aligned && b >= offset / kBlock
-                                ? b - offset / kBlock
-                                : provided.size();
-    const bool fully_covered = block_start >= offset &&
-                               block_start + block_len <= offset + length;
-    if (fully_covered && j < provided.size()) {
-      cs[b] = provided[j];
+    const std::uint64_t j = aligned && b >= first ? b - first
+                                                  : checksums.size();
+    const bool fully_covered =
+        block_start >= offset && block_start + block_len <= end;
+    if (fully_covered && j < checksums.size()) {
+      cs[b] = checksums[j];
     } else {
       cs[b] = crc32c(std::span<const std::uint8_t>(obj).subspan(
           block_start, block_len));
     }
   }
-}
-
-void ObjectStore::write(const ObjectKey& key, std::uint64_t offset,
-                        std::span<const std::uint8_t> data,
-                        std::span<const std::uint32_t> checksums) {
-  if (data.empty()) return;
-  store_bytes(key, offset, data);
-  if (integrity_) refresh_checksums(key, offset, data.size(), checksums);
 }
 
 std::vector<std::uint8_t> ObjectStore::read(const ObjectKey& key,
@@ -131,9 +143,9 @@ bool ObjectStore::verify(const ObjectKey& key, std::uint64_t offset,
     const std::uint64_t block_start = b * kBlock;
     const std::uint64_t block_len =
         std::min<std::uint64_t>(kBlock, obj.size() - block_start);
-    // Stored bytes with no recorded checksum (e.g. a torn apply that grew
-    // the object) are treated as corrupt: absence of metadata for present
-    // data is itself the signature of an interrupted write.
+    // Stored bytes with no recorded checksum (written before integrity was
+    // armed) are treated as corrupt: absence of metadata for present data
+    // is itself suspect.
     if (b >= cs.size()) return false;
     const std::uint32_t actual = crc32c(
         std::span<const std::uint8_t>(obj).subspan(block_start, block_len));
@@ -168,41 +180,6 @@ std::span<std::uint8_t> ObjectStore::raw_bytes(const ObjectKey& key) {
   auto it = objects_.find(key);
   if (it == objects_.end()) return {};
   return std::span<std::uint8_t>(it->second);
-}
-
-std::uint64_t ObjectStore::journal_begin(const ObjectKey& key,
-                                         std::uint64_t offset,
-                                         std::span<const std::uint8_t> data) {
-  if (!integrity_) return 0;
-  const std::uint64_t id = next_intent_++;
-  journal_.emplace(id, WriteIntent{key, offset,
-                                   std::vector<std::uint8_t>(data.begin(),
-                                                             data.end())});
-  return id;
-}
-
-void ObjectStore::journal_clear(std::uint64_t intent_id) {
-  journal_.erase(intent_id);
-}
-
-std::size_t ObjectStore::journal_replay() {
-  const std::size_t n = journal_.size();
-  for (const auto& [id, intent] : journal_) {
-    store_bytes(intent.key, intent.offset, intent.data);
-    if (integrity_)
-      refresh_checksums(intent.key, intent.offset, intent.data.size(), {});
-  }
-  journal_.clear();
-  return n;
-}
-
-void ObjectStore::apply_torn(const ObjectKey& key, std::uint64_t offset,
-                             std::span<const std::uint8_t> data,
-                             std::uint64_t prefix_bytes) {
-  if (data.empty() || prefix_bytes == 0) return;
-  store_bytes(key, offset,
-              data.subspan(0, std::min<std::uint64_t>(prefix_bytes,
-                                                      data.size())));
 }
 
 }  // namespace dk::rados

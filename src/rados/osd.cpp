@@ -31,9 +31,7 @@ void Osd::set_validator(PipelineValidator* validator) {
 }
 
 std::size_t Osd::replay_journal() {
-  std::size_t replayed = store_.journal_replay();
-  if (blockstore_) replayed += blockstore_->replay();
-  return replayed;
+  return blockstore_ ? blockstore_->replay() : 0;
 }
 
 void Osd::set_crashed(bool crashed) {
@@ -46,6 +44,10 @@ void Osd::set_crashed(bool crashed) {
     pending_reads_.clear();
     last_read_end_.clear();
     last_write_end_.clear();
+  } else {
+    // A torn-write arm that no apply consumed dies with the crash it
+    // belonged to; a later crash must not tear its first write.
+    torn_armed_ = false;
   }
 }
 
@@ -151,26 +153,7 @@ void Osd::apply_write(const ObjectKey& key, std::uint64_t offset,
     if (debt > 0) workers_.submit(blockstore_->compaction_cost(debt), [] {});
     return;
   }
-  if (!store_.integrity()) {
-    store_.write(key, offset, data);
-    return;
-  }
-  const std::uint64_t intent = store_.journal_begin(key, offset, data);
-  if (crashed_ && torn_armed_ && data.size() >= 2) {
-    // The crash landed mid-apply: only a prefix of the payload reaches the
-    // media and the checksum metadata is never refreshed. The journal
-    // intent stays pending — replay_journal() finishes the write when the
-    // OSD restarts; until then block-checksum verification flags the tear.
-    torn_armed_ = false;
-    const std::uint64_t prefix =
-        faults_ != nullptr ? faults_->torn_prefix(data.size())
-                           : data.size() / 2;
-    store_.apply_torn(key, offset, data, prefix);
-    if (faults_ != nullptr) faults_->count_torn_write();
-    return;
-  }
   store_.write(key, offset, data, checksums);
-  store_.journal_clear(intent);
 }
 
 const ec::ReedSolomon& Osd::codec(unsigned k, unsigned m) {

@@ -68,9 +68,9 @@ class Osd {
   void set_crashed(bool crashed);
   bool crashed() const { return crashed_; }
 
-  /// Integrity mode: every store mutation goes through the write-intent
-  /// journal (journal -> apply -> clear) and every read verifies block
-  /// checksums before replying (mismatch -> Errc::corrupted reply).
+  /// Integrity mode: the store keeps per-block checksums and every read
+  /// verifies them before replying (mismatch -> Errc::corrupted reply).
+  /// Checksums only; crash consistency is the blockstore's job.
   void set_integrity(bool on) { store_.set_integrity(on); }
   bool integrity() const { return store_.integrity(); }
 
@@ -91,15 +91,14 @@ class Osd {
   void set_validator(PipelineValidator* validator);
 
   /// Arm a torn write: the next store apply on this (crashed) OSD persists
-  /// only a prefix — of the payload (integrity mode, journal intent left
-  /// pending) or of the tail journal record (blockstore mode, record torn
-  /// at a byte boundary). Honoured when integrity or a blockstore is armed
-  /// (see OsdCrashEvent::torn_write).
+  /// only a prefix of its tail journal record, torn at a byte boundary.
+  /// Honoured only with a blockstore armed (see OsdCrashEvent::torn_write);
+  /// restarting the OSD disarms it.
   void arm_torn_write() { torn_armed_ = true; }
 
   /// Crash recovery: replay the blockstore journal (apply intact records,
-  /// discard the torn tail) and/or re-apply surviving write intents,
-  /// refreshing checksums. Returns the number of records resolved.
+  /// discard the torn tail). Returns the number of records resolved; 0
+  /// without a blockstore.
   std::size_t replay_journal();
 
   /// Public durable-apply entry for recovery/repair traffic: routes the
@@ -144,10 +143,10 @@ class Osd {
   void attach_metrics(MetricsRegistry& registry, const std::string& prefix);
 
  private:
-  /// Single choke point for every durable store mutation: journals the
-  /// intent in integrity mode, honours an armed torn write (prefix-only
-  /// apply with the intent left pending), otherwise applies fully and
-  /// retires the intent.
+  /// Single choke point for every durable store mutation: with a blockstore
+  /// the write lands as a WAL record and then commits (or, with a torn
+  /// write armed, the record is torn and never commits); otherwise it is a
+  /// plain store write.
   void apply_write(const ObjectKey& key, std::uint64_t offset,
                    std::span<const std::uint8_t> data,
                    std::span<const std::uint32_t> checksums);

@@ -58,12 +58,10 @@ struct OsdCrashEvent {
   Nanos restart_at = 0;
   Nanos mark_out_after = ms(2);
   /// Crash lands mid-write: the first store write applied after the crash
-  /// persists only a prefix, leaving a torn object (integrity mode: torn
-  /// payload, intent pending) or a torn tail journal record (blockstore
-  /// mode: record CRC fails, replay discards it). Only honoured when
-  /// FrameworkConfig::integrity or FrameworkConfig::blockstore is armed —
-  /// a journal is what makes the tear detectable and replayable; without
-  /// one the model keeps its pre-integrity atomic-write semantics.
+  /// persists only a prefix of its tail journal record (the record CRC
+  /// fails and restart replay discards it). Requires
+  /// FrameworkConfig::blockstore — the WAL record is the only torn-write
+  /// model, and Cluster::arm_faults rejects the plan without one.
   bool torn_write = false;
 };
 

@@ -12,8 +12,9 @@
 // Alongside: the journal-cap/trim-policy regression (sustained writes keep
 // occupancy bounded), the journal_leak validator rule (balanced after
 // replay, and deliberately tripped when a torn journal is abandoned), the
-// blockstore.* metric surface, the fsync-barrier cost model, and a
-// cluster-level crash/restart integration test through Osd::apply_durable.
+// blockstore.* metric surface, the fsync-barrier cost model, and
+// cluster-level crash/restart integration tests through Osd::apply_durable
+// (with and without integrity checksums armed on top).
 #include "rados/blockstore.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/metrics.hpp"
 #include "common/pipeline_validator.hpp"
 #include "common/rng.hpp"
@@ -281,70 +283,154 @@ TEST(BlockstoreCost, FsyncBarrierChargedEveryIntervalBytes) {
 
 class BlockstoreClusterFixture : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { build(/*integrity=*/false); }
+
+  /// (Re)build a blockstore-armed cluster, with or without integrity
+  /// (checksums) armed on top, and fill eight 8 KiB objects.
+  void build(bool integrity) {
+    client_.reset();
+    cluster_.reset();
+    sim_ = std::make_unique<sim::Simulator>();
+    validator_ = std::make_unique<PipelineValidator>();
     ClusterConfig cc;
     cc.blockstore.enabled = true;
-    cluster_ = std::make_unique<Cluster>(sim_, cc);
-    cluster_->set_validator(&validator_);
+    cc.integrity = integrity;
+    cluster_ = std::make_unique<Cluster>(*sim_, cc);
+    cluster_->set_validator(validator_.get());
     client_ = std::make_unique<RadosClient>(*cluster_);
+    client_->set_integrity(integrity);
     pool_ = cluster_->create_replicated_pool("rbd", 2);
     for (std::uint64_t oid = 0; oid < 8; ++oid) {
       client_->write(pool_, oid, 0, pattern(8192, oid),
                      WriteStrategy::primary_copy, [](Status) {});
     }
-    sim_.run();
+    sim_->run();
   }
 
-  sim::Simulator sim_;
-  PipelineValidator validator_;
+  std::unique_ptr<sim::Simulator> sim_;
+  std::unique_ptr<PipelineValidator> validator_;
   std::unique_ptr<Cluster> cluster_;
   std::unique_ptr<RadosClient> client_;
   int pool_ = -1;
 };
 
 TEST_F(BlockstoreClusterFixture, TornCrashRestartKeepsAcknowledgedData) {
-  const std::uint64_t oid = 5;
-  const auto acting = cluster_->acting_set(pool_, oid);
-  Osd& osd = cluster_->osd(acting[0]);
-  ASSERT_NE(osd.blockstore(), nullptr) << "cluster config must arm the store";
+  // Integrity mode adds checksums only; the WAL owns crash consistency in
+  // both modes, so the same tear/replay contract must hold either way.
+  for (const bool integrity : {false, true}) {
+    SCOPED_TRACE(integrity ? "integrity on" : "integrity off");
+    build(integrity);
+    const std::uint64_t oid = 5;
+    const auto acting = cluster_->acting_set(pool_, oid);
+    Osd& osd = cluster_->osd(acting[0]);
+    ASSERT_NE(osd.blockstore(), nullptr) << "cluster config must arm the store";
+    const ObjectKey key{static_cast<std::uint32_t>(pool_), oid, -1};
+
+    // An acknowledged overwrite lands through the journal.
+    const auto acked = pattern(4096, 5000);
+    osd.apply_durable(key, 0, acked, {});
+    EXPECT_EQ(osd.store().read(key, 0, acked.size()), acked);
+
+    // Crash; the write in flight at crash time tears the tail record, so
+    // its bytes never reach the data area and it is never acknowledged.
+    cluster_->crash_osd(acting[0]);
+    osd.arm_torn_write();
+    const auto unacked = pattern(4096, 6000);
+    osd.apply_durable(key, 0, unacked, {});
+    EXPECT_EQ(osd.store().read(key, 0, acked.size()), acked)
+        << "WAL discipline: a torn append must not touch the data area";
+
+    cluster_->restart_osd(acting[0]);
+    EXPECT_GE(cluster_->torn_writes_replayed(), 1u);
+    EXPECT_EQ(osd.blockstore()->record_count(), 0u)
+        << "replay must drain the journal";
+    EXPECT_GE(osd.blockstore()->replays_discarded(), 1u);
+    EXPECT_EQ(osd.store().read(key, 0, acked.size()), acked)
+        << "acknowledged bytes lost across crash/restart";
+    if (integrity) {
+      EXPECT_TRUE(osd.store().verify(key, 0, acked.size()))
+          << "acknowledged bytes fail their checksums after replay";
+    }
+
+    // Reads through the client still see consistent replicas.
+    Result<std::vector<std::uint8_t>> r = Status::Error(Errc::timed_out);
+    client_->read(pool_, oid, 0, acked.size(), ReadStrategy::primary,
+                  [&](Result<std::vector<std::uint8_t>> x) {
+                    r = std::move(x);
+                  });
+    sim_->run();
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(validator_->verify_quiescent(), 0u);
+  }
+}
+
+TEST_F(BlockstoreClusterFixture, RestartDisarmsAnUnconsumedTornWrite) {
+  const std::uint64_t oid = 3;
+  const int id = cluster_->acting_set(pool_, oid)[0];
+  Osd& osd = cluster_->osd(id);
   const ObjectKey key{static_cast<std::uint32_t>(pool_), oid, -1};
+  sim::FaultInjector faults(*sim_, sim::FaultPlan{});
+  cluster_->arm_faults(faults);
 
-  // An acknowledged overwrite lands through the journal.
-  const auto acked = pattern(4096, 5000);
-  osd.apply_durable(key, 0, acked, {});
-  EXPECT_EQ(osd.store().read(key, 0, acked.size()), acked);
-
-  // Crash; the write in flight at crash time tears the tail record, so its
-  // bytes never reach the data area and it is never acknowledged.
-  cluster_->crash_osd(acting[0]);
+  // A torn crash during which no apply lands, then a restart.
+  cluster_->crash_osd(id);
   osd.arm_torn_write();
-  const auto unacked = pattern(4096, 6000);
-  osd.apply_durable(key, 0, unacked, {});
-  EXPECT_EQ(osd.store().read(key, 0, acked.size()), acked)
-      << "WAL discipline: a torn append must not touch the data area";
+  cluster_->restart_osd(id);
 
-  cluster_->restart_osd(acting[0]);
-  EXPECT_GE(cluster_->torn_writes_replayed(), 1u);
-  EXPECT_EQ(osd.blockstore()->record_count(), 0u)
-      << "replay must drain the journal";
-  EXPECT_GE(osd.blockstore()->replays_discarded(), 1u);
-  EXPECT_EQ(osd.store().read(key, 0, acked.size()), acked)
-      << "acknowledged bytes lost across crash/restart";
+  // A later plain crash: the write in flight must land whole.
+  cluster_->crash_osd(id);
+  const auto data = pattern(4096, 7000);
+  osd.apply_durable(key, 0, data, {});
+  EXPECT_EQ(faults.stats().torn_writes, 0u)
+      << "the first crash's torn-write arm outlived its restart";
+  EXPECT_EQ(osd.store().read(key, 0, data.size()), data);
 
-  // Reads through the client still see consistent replicas.
-  Result<std::vector<std::uint8_t>> r = Status::Error(Errc::timed_out);
-  client_->read(pool_, oid, 0, acked.size(), ReadStrategy::primary,
-                [&](Result<std::vector<std::uint8_t>> x) { r = std::move(x); });
-  sim_.run();
-  ASSERT_TRUE(r.ok()) << r.status().to_string();
-  EXPECT_EQ(validator_.verify_quiescent(), 0u);
+  cluster_->restart_osd(id);
+  EXPECT_EQ(osd.blockstore()->replays_discarded(), 0u)
+      << "replay discarded an intact record";
+  EXPECT_EQ(osd.store().read(key, 0, data.size()), data);
+}
+
+TEST(BlockstoreFaultPlan, TornWriteWithoutBlockstoreIsRejected) {
+  // The torn WAL record is the only torn-write model, so a plan that tears
+  // a write on a cluster without a blockstore is a configuration error.
+  std::vector<std::string> failures;
+  ScopedCheckFailureHandler capture(
+      [&](const CheckContext& ctx) { failures.push_back(ctx.message); });
+  sim::FaultPlan plan;
+  sim::OsdCrashEvent crash;
+  crash.osd = 0;
+  crash.crash_at = us(10);
+  crash.restart_at = us(20);
+  crash.mark_out_after = -1;
+  crash.torn_write = true;
+  plan.osd_crashes.push_back(crash);
+
+  for (const bool blockstore : {false, true}) {
+    SCOPED_TRACE(blockstore ? "blockstore" : "plain store");
+    failures.clear();
+    sim::Simulator sim;
+    ClusterConfig cc;
+    cc.integrity = true;
+    cc.blockstore.enabled = blockstore;
+    Cluster cluster(sim, cc);
+    sim::FaultInjector faults(sim, plan);
+    cluster.arm_faults(faults);
+    if (blockstore) {
+      EXPECT_TRUE(failures.empty());
+    } else {
+      ASSERT_EQ(failures.size(), 1u);
+      EXPECT_NE(failures[0].find("without a blockstore"), std::string::npos)
+          << failures[0];
+    }
+  }
 }
 
 TEST_F(BlockstoreClusterFixture, BackfillAndRepairWritesAreJournaled) {
   // Recovery writes route through Osd::apply_durable, so they land in the
   // journal like client writes: after a backfill the target's blockstore
   // has seen traffic and its intents are balanced.
-  const std::uint64_t before = validator_.journal_intents();
+  const std::uint64_t before = validator_->journal_intents();
   const auto acting = cluster_->acting_set(pool_, 2);
   const ObjectKey key{static_cast<std::uint32_t>(pool_), 2, -1};
 
@@ -360,13 +446,13 @@ TEST_F(BlockstoreClusterFixture, BackfillAndRepairWritesAreJournaled) {
   ASSERT_GE(target, 0);
   bool done = false;
   cluster_->backfill(acting[0], target, key, [&] { done = true; });
-  sim_.run();
+  sim_->run();
   ASSERT_TRUE(done);
 
-  EXPECT_GT(validator_.journal_intents(), before)
+  EXPECT_GT(validator_->journal_intents(), before)
       << "the backfill write bypassed the journal";
-  EXPECT_EQ(validator_.journal_intents(),
-            validator_.journal_intents_resolved());
+  EXPECT_EQ(validator_->journal_intents(),
+            validator_->journal_intents_resolved());
   EXPECT_EQ(cluster_->osd(target).store().read(key, 0, 8192),
             pattern(8192, 2));
 }

@@ -325,7 +325,9 @@ TEST(ChaosSweep, QdmaErrorsSurvivedByDmaRedrive) {
 // --- Integrity chaos: all three corruption kinds armed at once --------------
 
 /// Media bit-flips in stored objects, a silent-DMA-corruption window, and a
-/// torn-write OSD crash — against an integrity-armed stack. Each media event
+/// torn-write OSD crash — against an integrity-armed stack on the WAL
+/// blockstore (the durable configuration): the crash tears the victim's tail
+/// journal record while checksums guard everything else. Each media event
 /// hits a distinct object so single-copy redundancy survives and read-repair
 /// (not scrub) is what must heal the damage.
 core::FrameworkConfig integrity_chaos_config(std::uint64_t seed) {
@@ -335,6 +337,7 @@ core::FrameworkConfig integrity_chaos_config(std::uint64_t seed) {
                                 : core::PoolMode::erasure;
   cfg.image_size = 32 * MiB;
   cfg.integrity = true;
+  cfg.blockstore.enabled = true;
 
   // Pool id and object ids are deterministic per config: a fault-free probe
   // stack reveals the media-event targets (same trick as FaultAcceptance).
@@ -406,7 +409,7 @@ TEST(ChaosSweep, IntegrityArmedCorruptionNeverYieldsWrongBytes) {
   EXPECT_GT(agg.checksum_failures, 0u) << "injected corruption went undetected";
   EXPECT_GT(agg.read_repairs, 0u);
   EXPECT_GT(agg.torn_replayed, 0u)
-      << "restart must replay the torn write-intent journal";
+      << "restart must replay the blockstore journal";
   EXPECT_GT(agg.completed_ok, agg.errored);
 }
 

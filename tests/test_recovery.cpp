@@ -158,7 +158,7 @@ TEST_F(RecoveryFixture, EmptyPlanCompletesImmediately) {
   EXPECT_TRUE(finished);
 }
 
-// --- Integrity mode: checksum scrub, repair, read-repair, journal replay ----
+// --- Integrity mode: checksum scrub, repair, and read-repair ----------------
 
 class IntegrityFixture : public ::testing::Test {
  protected:
@@ -355,58 +355,55 @@ TEST_F(IntegrityFixture, EcPrimaryReadFallsBackOnCorruptPrimaryShard) {
   EXPECT_EQ(validator_.verify_quiescent(), 0u);
 }
 
-TEST_F(IntegrityFixture, TornWriteReplaysFromJournalOnRestart) {
-  const std::uint64_t oid = 5;
-  const auto acting = cluster_->acting_set(pool_, oid);
-  auto& store = cluster_->osd(acting[0]).store();
-  const ObjectKey key{static_cast<std::uint32_t>(pool_), oid, -1};
-  const auto update = pattern(4096, 5000);
+// --- Checksum maintenance: a write never launders a flipped block ----------
 
-  // Crash mid-apply: intent journaled, only half the bytes landed, block
-  // checksums stale. verify() must flag it; restart must finish the job.
-  store.journal_begin(key, 0, update);
-  store.apply_torn(key, 0, update, update.size() / 2);
-  EXPECT_FALSE(store.verify(key, 0, update.size()));
-  EXPECT_EQ(store.journal_size(), 1u);
-
-  cluster_->crash_osd(acting[0]);
-  cluster_->restart_osd(acting[0]);
-  EXPECT_EQ(cluster_->torn_writes_replayed(), 1u);
-  EXPECT_EQ(store.journal_size(), 0u);
-  EXPECT_TRUE(store.verify(key, 0, update.size()));
-  EXPECT_EQ(store.read(key, 0, update.size()), update);
-
-  const auto r = read_back(pool_, oid, update.size(), ReadStrategy::primary);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, update);
+/// A 2-block object with a bit flipped in block `flipped` behind the
+/// store's back (latent media corruption: its CRC is now stale).
+ObjectStore flipped_store(const ObjectKey& key, std::uint64_t flipped) {
+  ObjectStore st;
+  st.set_integrity(true);
+  const auto base = pattern(2 * kChecksumBlockBytes, 1);
+  st.write(key, 0, base, block_checksums(base));
+  st.raw_bytes(key)[flipped * kChecksumBlockBytes + 100] ^= 0x08;
+  EXPECT_FALSE(st.verify(key, flipped * kChecksumBlockBytes, 1));
+  return st;
 }
 
-TEST(ObjectStoreJournal, ReplayIsDeterministicAndIdempotent) {
-  // Two stores fed the identical op sequence replay to identical contents;
-  // a second replay is a no-op (the journal is cleared by the first).
-  auto run = [](ObjectStore& st) {
-    st.set_integrity(true);
-    const ObjectKey key{0, 1, -1};
-    const auto base = pattern(8192, 1);
-    st.write(key, 0, base, block_checksums(base));
-    const auto update = pattern(4096, 2);
-    st.journal_begin(key, 2048, update);
-    st.apply_torn(key, 2048, update, 1000);
-    EXPECT_FALSE(st.verify(key, 0, 8192));
-    EXPECT_EQ(st.journal_replay(), 1u);
-    EXPECT_EQ(st.journal_replay(), 0u) << "replay must clear the journal";
-    EXPECT_TRUE(st.verify(key, 0, 8192));
-    std::vector<std::uint8_t> want = base;
-    std::copy(update.begin(), update.end(), want.begin() + 2048);
-    EXPECT_EQ(st.read(key, 0, 8192), want);
-    return st.read(key, 0, 8192);
-  };
-  ObjectStore a, b;
-  EXPECT_EQ(run(a), run(b));
+TEST(ObjectStoreChecksums, PartialOverwriteKeepsFlippedBlockFailing) {
+  // A 1 KiB write (an EC shard chunk's size) into a flipped block keeps the
+  // flipped byte, so the block must keep failing until a write replaces all
+  // of it. A partial write into a block that verified stays verifiable.
+  const ObjectKey key{0, 1, -1};
+  ObjectStore st = flipped_store(key, 0);
+  st.write(key, 2048, pattern(1024, 2));
+  EXPECT_FALSE(st.verify(key, 0, kChecksumBlockBytes))
+      << "the partial write re-checksummed the flipped byte as good";
+  st.write(key, kChecksumBlockBytes + 2048, pattern(1024, 3));
+  EXPECT_TRUE(st.verify(key, kChecksumBlockBytes, kChecksumBlockBytes));
+
+  // A write replacing every byte of the block (read-repair) heals it.
+  const auto repair = pattern(kChecksumBlockBytes, 4);
+  st.write(key, 0, repair);
+  EXPECT_TRUE(st.verify(key, 0, 2 * kChecksumBlockBytes));
 }
 
-// --- Blockstore journal format (pinned next to the write-intent journal
-// tests above: both journals share the crash-consistency contract) ----------
+TEST(ObjectStoreChecksums, ExtendingWriteKeepsFlippedFullTailBlockFailing) {
+  // Appending past a full tail block does not touch it, so its CRC must not
+  // be recomputed; the appended block itself verifies.
+  const ObjectKey key{0, 1, -1};
+  ObjectStore st = flipped_store(key, 1);
+  st.write(key, 2 * kChecksumBlockBytes, pattern(1024, 5));
+  EXPECT_FALSE(st.verify(key, kChecksumBlockBytes, kChecksumBlockBytes))
+      << "the extending write re-checksummed the untouched tail block";
+  EXPECT_TRUE(st.verify(key, 2 * kChecksumBlockBytes, 1024));
+
+  // Zero fill that grows a verified partial tail block keeps it verifiable.
+  st.write(key, 4 * kChecksumBlockBytes, pattern(100, 6));
+  EXPECT_TRUE(st.verify(key, 2 * kChecksumBlockBytes,
+                        2 * kChecksumBlockBytes + 100));
+}
+
+// --- Blockstore journal format -----------------------------------------------
 
 TEST(BlockstoreJournal, TornEntryTruncatedAtEveryByteBoundary) {
   // A committed record A and an uncommitted record B. For every possible
