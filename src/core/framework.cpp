@@ -314,7 +314,7 @@ Nanos Framework::fpga_stage_latency(bool is_write, std::uint64_t bytes) {
     if (lat.ok()) {
       f += *lat;
       ++stats_.fpga_placements;
-    } else if (config_.sw_fallback_when_kernel_absent) {
+    } else {
       // RM is being reconfigured (or not loaded): fall back to host CRUSH.
       f += sw_crush_time();
       ++stats_.sw_placement_fallbacks;

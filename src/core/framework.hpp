@@ -53,7 +53,6 @@ struct FrameworkConfig {
   std::optional<rados::WriteStrategy> write_strategy_override;  // ablation
 
   crush::BucketAlg placement_alg = crush::BucketAlg::straw2;
-  bool sw_fallback_when_kernel_absent = true;  // during DFX reconfiguration
 
   rados::ClusterConfig cluster;
   std::uint64_t image_size = 256 * MiB;

@@ -13,17 +13,6 @@ ItemId CrushMap::add_bucket(std::uint16_t type, BucketAlg alg) {
   return id;
 }
 
-Result<ItemId> CrushMap::add_bucket_with_id(ItemId id, std::uint16_t type,
-                                            BucketAlg alg) {
-  if (id >= 0)
-    return Status::Error(Errc::invalid_argument, "bucket ids are negative");
-  if (buckets_.count(id))
-    return Status::Error(Errc::invalid_argument, "bucket id in use");
-  buckets_.emplace(id, Bucket(id, type, alg));
-  if (id <= next_bucket_id_) next_bucket_id_ = id - 1;
-  return id;
-}
-
 Bucket* CrushMap::bucket(ItemId id) {
   auto it = buckets_.find(id);
   return it == buckets_.end() ? nullptr : &it->second;

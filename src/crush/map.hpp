@@ -61,11 +61,6 @@ class CrushMap {
   /// Create a bucket; returns its (negative) id.
   ItemId add_bucket(std::uint16_t type, BucketAlg alg);
 
-  /// Create a bucket with an explicit (negative) id; fails on collision.
-  /// Used by the text-map compiler (crush/dump.hpp).
-  Result<ItemId> add_bucket_with_id(ItemId id, std::uint16_t type,
-                                    BucketAlg alg);
-
   Bucket* bucket(ItemId id);
   const Bucket* bucket(ItemId id) const;
   std::size_t bucket_count() const { return buckets_.size(); }

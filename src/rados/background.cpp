@@ -131,8 +131,24 @@ void BackgroundScheduler::finish_chunk(int osd_id, const Chunk& chunk) {
 
 void BackgroundScheduler::repair_chunk(int osd_id, const Chunk& chunk) {
   // Deep scrub convicted this chunk (integrity mode: its bytes no longer
-  // match the stored block CRCs). Rewrite it from a verified sibling copy,
+  // match the stored block CRCs). Rewrite it from verified redundancy,
   // charging the write through the station in the background class.
+  if (cluster_.pool(static_cast<int>(chunk.key.pool)).mode ==
+      PoolConfig::Mode::erasure) {
+    // An EC shard lives on exactly one OSD, so no other holder has it:
+    // decode the whole shard back from k verified siblings. One rewrite
+    // covers every bad chunk of the shard, so a shard already queued for
+    // repair is not queued again.
+    const std::pair<int, ObjectKey> target{osd_id, chunk.key};
+    if (ec_repairs_pending_.count(target) != 0) return;
+    const auto& profile =
+        cluster_.pool(static_cast<int>(chunk.key.pool)).ec_profile;
+    if (recovery_.verified_siblings(chunk.key).size() < profile.k) return;
+    ec_repairs_pending_.insert(target);
+    if (validator_ != nullptr) validator_->on_background_scheduled();
+    repair_shard(osd_id, chunk.key);
+    return;
+  }
   for (std::size_t i = 0; i < cluster_.osd_count(); ++i) {
     const int holder = static_cast<int>(i);
     if (holder == osd_id || cluster_.osd_down(holder)) continue;
@@ -154,6 +170,35 @@ void BackgroundScheduler::repair_chunk(int osd_id, const Chunk& chunk) {
     return;
   }
   // No verified source: the error stays counted, nothing is rewritten.
+}
+
+void BackgroundScheduler::repair_shard(int osd_id, const ObjectKey& key) {
+  // Same barrier as a recovery move: wait out in-flight client writes to
+  // the object, then hold its write lock until the rewrite persists, so
+  // the decode never mixes sibling shards from two versions.
+  if (cluster_.client_write_inflight(key)) {
+    cluster_.simulator().schedule_after(kWriteDrainRecheck,
+                                        [this, osd_id, key] {
+                                          repair_shard(osd_id, key);
+                                        });
+    return;
+  }
+  cluster_.note_recovery_begin(key);
+  Osd& osd = cluster_.osd(osd_id);
+  const Nanos svc = osd.service_time(osd.store().object_size(key),
+                                     /*is_write=*/true, key, /*offset=*/0);
+  osd.submit_background(svc, [this, osd_id, key] {
+    // Decoded at persist time, so a repair that queued behind client ops
+    // lands with the siblings' latest content.
+    const auto shard = recovery_.rebuild_verified_shard(key);
+    if (!shard.empty()) {
+      cluster_.osd(osd_id).apply_durable(key, 0, shard, {});
+      ++scrub_repairs_;
+    }
+    cluster_.note_recovery_end(key);
+    ec_repairs_pending_.erase({osd_id, key});
+    if (validator_ != nullptr) validator_->on_background_resolved();
+  });
 }
 
 // --- paced recovery ----------------------------------------------------------
@@ -194,7 +239,7 @@ void BackgroundScheduler::execute_plans(
   options.pace_cap = config_.pace_cap;
   // `plans` stays captured in the completion, keeping the plan alive for
   // the whole execution.
-  recovery_.execute_paced(plan, options, [this, plans, index] {
+  recovery_.execute(plan, options, [this, plans, index] {
     execute_plans(plans, index + 1);
   });
 }

@@ -14,14 +14,15 @@
 //     scrub_bps delays the next chunk until the budget allows it, bounding
 //     scrub's impact on client I/O. Chunks verify block checksums when
 //     integrity is armed; a failed chunk is rewritten from a verified
-//     replica — also through the station, also background class.
+//     replica, or (EC) its whole shard is decoded from k verified siblings
+//     under the same client-write barrier as a recovery move — also
+//     through the station, also background class.
 //   * Paced recovery: when the cluster marks an OSD out (CRUSH reweight),
 //     the scheduler plans backfill across every pool and executes it via
-//     RecoveryManager::execute_paced — bounded parallelism, a
-//     recovery_max_bps token bucket, and the two-class station scheme so
-//     every copy queues with (and yields to) client ops. The time from the
-//     placement change to the last landed copy is the cluster's
-//     time-to-full-redundancy.
+//     RecoveryManager::execute — bounded parallelism, a recovery_max_bps
+//     token bucket, and the two-class station scheme so every copy queues
+//     with (and yields to) client ops. The time from the placement change
+//     to the last landed copy is the cluster's time-to-full-redundancy.
 //
 // Default off (BackgroundConfig::enabled = false): no scheduler is
 // constructed, no timers armed, no background.* metrics registered, and
@@ -33,7 +34,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rados/recovery.hpp"
@@ -145,6 +148,7 @@ class BackgroundScheduler {
   void next_chunk(int osd_id);
   void finish_chunk(int osd_id, const Chunk& chunk);
   void repair_chunk(int osd_id, const Chunk& chunk);
+  void repair_shard(int osd_id, const ObjectKey& key);
   void start_recovery_round();
   void execute_plans(std::shared_ptr<std::vector<RecoveryPlan>> plans,
                      std::size_t index);
@@ -162,6 +166,8 @@ class BackgroundScheduler {
   std::uint64_t scrub_passes_ = 0;
   std::uint64_t scrub_errors_ = 0;
   std::uint64_t scrub_repairs_ = 0;
+  // EC shard rewrites queued by deep scrub and not yet persisted.
+  std::set<std::pair<int, ObjectKey>> ec_repairs_pending_;
   std::uint64_t chunks_cancelled_ = 0;
   std::uint64_t scrub_throttle_waits_ = 0;
 

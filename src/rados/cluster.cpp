@@ -1,5 +1,6 @@
 #include "rados/cluster.hpp"
 
+#include <algorithm>
 
 #include "common/check.hpp"
 #include "crush/hash.hpp"
@@ -227,45 +228,39 @@ void Cluster::send_from_osd(int src_osd, int dst,
 }
 
 void Cluster::backfill(int from_osd, int to_osd, const ObjectKey& key,
-                       std::function<void()> done, bool background) {
+                       std::function<void()> done) {
   Osd& src = osd(from_osd);
   const std::uint64_t size = src.store().object_size(key);
   auto data = src.store().read(key, 0, size);
   const Nanos read_svc =
       src.service_time(size, /*is_write=*/false, key, /*offset=*/0);
-  auto push = [this, from_osd, to_osd, key, background,
-               data = std::move(data), done = std::move(done)]() mutable {
+  auto push = [this, from_osd, to_osd, key, data = std::move(data),
+               done = std::move(done)]() mutable {
     auto body = std::make_shared<OpBody>();
     body->type = OpType::backfill_push;
     body->key = key;
     body->offset = 0;
     body->data = std::move(data);
     body->reply_osd = from_osd;
-    body->background = background;
-    if (background) {
-      // The source stays in the acting set and keeps absorbing client
-      // writes while this paced push queues; re-sampling at apply time
-      // makes the copy land with the latest content instead of the
-      // grant-time snapshot (which would roll back concurrent writes).
-      body->refresh_payload = [this, from_osd, key] {
-        const ObjectStore& store = osd(from_osd).store();
-        return store.read(key, 0, store.object_size(key));
-      };
-    }
+    // The source stays in the acting set and keeps absorbing client writes
+    // while this push queues; re-sampling at apply time makes the copy land
+    // with the latest content instead of the read-time snapshot (which
+    // would roll back concurrent writes).
+    body->refresh_payload = [this, from_osd, key] {
+      const ObjectStore& store = osd(from_osd).store();
+      return store.read(key, 0, store.object_size(key));
+    };
     body->on_done = std::move(done);
     send_from_osd(from_osd, to_osd, std::move(body));
   };
-  if (background)
-    src.submit_background(read_svc, std::move(push));
-  else
-    sim_.schedule_after(read_svc, std::move(push));
+  src.submit_background(read_svc, std::move(push));
 }
 
 void Cluster::reconstruct_shard(
     const std::vector<std::pair<int, ObjectKey>>& sources, int to_osd,
-    const ObjectKey& target_key, std::vector<std::uint8_t> rebuilt,
-    std::function<void()> done, bool background,
-    std::function<std::vector<std::uint8_t>()> refresh) {
+    const ObjectKey& target_key,
+    std::function<std::vector<std::uint8_t>()> rebuild,
+    std::function<void()> done) {
   struct Gather {
     std::size_t awaiting;
     std::function<void()> done;
@@ -273,35 +268,29 @@ void Cluster::reconstruct_shard(
   auto gather = std::make_shared<Gather>();
   gather->awaiting = sources.size();
   gather->done = std::move(done);
+  // The decoded shard is as long as the longest sibling it is decoded from.
+  std::uint64_t rebuilt_bytes = 0;
+  for (const auto& [holder, sibling_key] : sources)
+    rebuilt_bytes = std::max(rebuilt_bytes,
+                             osd(holder).store().object_size(sibling_key));
 
-  auto finish = [this, to_osd, target_key, background,
-                 rebuilt = std::move(rebuilt), refresh = std::move(refresh),
-                 gather]() mutable {
-    // All sibling shards arrived: charge the decode + local write, persist.
+  auto finish = [this, to_osd, target_key, rebuilt_bytes,
+                 rebuild = std::move(rebuild), gather]() mutable {
+    // All sibling shards arrived: the decode + local write occupy the
+    // target's op threads (contending with client ops), then persist.
     Osd& dst = osd(to_osd);
     const Nanos decode = transfer_time(
-        rebuilt.size() * 4 /* ~k GF ops per byte */, config_.osd.ec_encode_bps);
-    const Nanos write_svc = dst.service_time(rebuilt.size(), /*is_write=*/true,
+        rebuilt_bytes * 4 /* ~k GF ops per byte */, config_.osd.ec_encode_bps);
+    const Nanos write_svc = dst.service_time(rebuilt_bytes, /*is_write=*/true,
                                              target_key, /*offset=*/0);
-    auto persist = [this, to_osd, target_key, rebuilt = std::move(rebuilt),
-                    refresh = std::move(refresh), gather]() mutable {
-      // Re-decode from the siblings' current content when asked (paced
-      // background reconstruction racing client writes); see backfill().
-      if (refresh) rebuilt = refresh();
-      // Durable-apply path: the rebuilt shard is
-      // journaled like any client write, so a crash
-      // mid-reconstruction stays recoverable.
-      osd(to_osd).apply_durable(target_key, 0, rebuilt,
-                                {});
+    auto persist = [this, to_osd, target_key, rebuild = std::move(rebuild),
+                    gather] {
+      // Durable-apply path: the rebuilt shard is journaled like any client
+      // write, so a crash mid-reconstruction stays recoverable.
+      osd(to_osd).apply_durable(target_key, 0, rebuild(), {});
       gather->done();
     };
-    // Background reconstruction occupies the target's op threads for the
-    // decode + write (contending with client ops); the legacy path charges
-    // the time off-station, byte-identical to before.
-    if (background)
-      dst.submit_background(decode + write_svc, std::move(persist));
-    else
-      sim_.schedule_after(decode + write_svc, std::move(persist));
+    dst.submit_background(decode + write_svc, std::move(persist));
   };
 
   if (sources.empty()) {
@@ -313,7 +302,7 @@ void Cluster::reconstruct_shard(
     const std::uint64_t size = src.store().object_size(sibling_key);
     const Nanos read_svc =
         src.service_time(size, /*is_write=*/false, sibling_key, 0);
-    auto push = [this, holder, to_osd, sibling_key, size, background, gather,
+    auto push = [this, holder, to_osd, sibling_key, size, gather,
                  finish]() mutable {
       auto body = std::make_shared<OpBody>();
       body->type = OpType::backfill_push;
@@ -321,16 +310,12 @@ void Cluster::reconstruct_shard(
       body->data = osd(holder).store().read(sibling_key, 0, size);
       body->transient = true;
       body->reply_osd = holder;
-      body->background = background;
       body->on_done = [gather, finish]() mutable {
         if (--gather->awaiting == 0) finish();
       };
       send_from_osd(holder, to_osd, std::move(body));
     };
-    if (background)
-      src.submit_background(read_svc, std::move(push));
-    else
-      sim_.schedule_after(read_svc, std::move(push));
+    src.submit_background(read_svc, std::move(push));
   }
 }
 

@@ -140,26 +140,25 @@ class Cluster {
   std::uint64_t total_ops_served() const;
 
   /// Recovery copy: read `key` on `from_osd`, push it over the network to
-  /// `to_osd`, persist there, then fire `done`. Charges source read
-  /// service, wire transfer, and destination write service. With
-  /// `background` set both ends ride the OSDs' background service class
-  /// (the source read occupies the source station instead of running off
-  /// to the side), so the copy queues with — and yields to — client I/O.
+  /// `to_osd`, persist there, then fire `done`. The source read and the
+  /// destination write both ride the OSDs' background service class, so
+  /// the copy queues with — and yields to — client I/O; the persisted bytes
+  /// are re-read from the source at apply time.
   void backfill(int from_osd, int to_osd, const ObjectKey& key,
-                std::function<void()> done, bool background = false);
+                std::function<void()> done);
 
   /// EC shard reconstruction: stream k surviving sibling shards from their
   /// holders to `to_osd` (transient pushes), charge the decode there, then
-  /// persist the caller-provided rebuilt shard bytes under `target_key`.
-  /// `background` routes every leg through the background service class,
-  /// like backfill(). `refresh`, when set, re-derives the rebuilt bytes at
-  /// persist time so a paced reconstruction that queued behind client
-  /// traffic lands with the siblings' latest content.
+  /// persist the rebuilt shard under `target_key`. Every leg rides the
+  /// background service class, like backfill(). The decode and write are
+  /// sized by the longest source shard; `rebuild` derives the shard bytes at
+  /// persist time, so a reconstruction that queued behind client traffic
+  /// lands with the siblings' latest content.
   void reconstruct_shard(
       const std::vector<std::pair<int, ObjectKey>>& sources, int to_osd,
-      const ObjectKey& target_key, std::vector<std::uint8_t> rebuilt,
-      std::function<void()> done, bool background = false,
-      std::function<std::vector<std::uint8_t>()> refresh = {});
+      const ObjectKey& target_key,
+      std::function<std::vector<std::uint8_t>()> rebuild,
+      std::function<void()> done);
 
   /// Attach the background scheduler (scrub + paced recovery). The cluster
   /// notifies it when an OSD is marked out, so a CRUSH reweight triggers

@@ -54,11 +54,8 @@ struct OpBody {
   // Transient pushes (EC reconstruction gathers) are not persisted at the
   // destination; they only charge transfer + service time.
   bool transient = false;
-  // Background service class (paced scrub/backfill): the receiving OSD
-  // queues this op behind client work, admitted by its starvation guard.
-  bool background = false;
-  // Background pushes re-sample the source object at destination-apply time:
-  // a paced copy can spend a long while queued behind client traffic, and
+  // Backfill pushes re-sample the source object at destination-apply time:
+  // a copy can spend a long while queued behind client traffic, and
   // persisting the grant-time snapshot would clobber any client write that
   // landed in between. The wire/service costs still use the grant-time size.
   std::function<std::vector<std::uint8_t>()> refresh_payload;

@@ -98,25 +98,19 @@ void Osd::handle(std::shared_ptr<OpBody> body) {
     case OpType::ec_primary_read: do_ec_primary_read(std::move(body)); break;
     case OpType::shard_data: do_shard_data(std::move(body)); break;
     case OpType::backfill_push: {
-      // Recovery copy: persist the pushed object/shard, then notify the
-      // recovery orchestrator directly (the ack path is not modeled on the
-      // wire; its 6 us would be invisible under the multi-ms copy times).
+      // Recovery copy: persist the pushed object/shard in the background
+      // service class, then notify the recovery orchestrator directly (the
+      // ack path is not modeled on the wire; its 6 us would be invisible
+      // under the multi-ms copy times).
       const Nanos svc = service_time(body->data.size(), /*is_write=*/true,
                                      body->key, body->offset);
-      const bool background = body->background;
-      auto persist = [this, body = std::move(body)] {
+      workers_.submit_background(svc, [this, body = std::move(body)] {
         if (!body->transient) {
           if (body->refresh_payload) body->data = body->refresh_payload();
           apply_write(body->key, body->offset, body->data, body->checksums);
         }
         if (body->on_done) body->on_done();
-      };
-      // Paced-recovery pushes ride the background service class; the
-      // legacy (unpaced) recovery path keeps the client class untouched.
-      if (background)
-        workers_.submit_background(svc, std::move(persist));
-      else
-        workers_.submit(svc, std::move(persist));
+      });
       break;
     }
     case OpType::shard_ack: do_repl_ack(std::move(body)); break;

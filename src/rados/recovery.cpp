@@ -13,10 +13,6 @@ namespace dk::rados {
 
 namespace {
 
-/// Re-check cadence for a paced move parked behind an in-flight client
-/// write on its object (the launch side of the recovery_blocked barrier).
-constexpr Nanos kWriteDrainRecheck = us(20);
-
 /// Where every copy/shard of the pool's objects currently lives:
 /// key (with shard) -> holder OSD ids.
 std::map<ObjectKey, std::vector<int>> holders_of_pool(Cluster& cluster,
@@ -152,60 +148,37 @@ std::vector<std::uint8_t> RecoveryManager::rebuild_shard(
   return (*coding)[shard - k];
 }
 
-void RecoveryManager::execute(const RecoveryPlan& plan, unsigned max_parallel,
-                              std::function<void()> done) {
-  if (plan.moves.empty()) {
-    cluster_.simulator().schedule_after(0, std::move(done));
-    return;
+std::vector<std::pair<int, ObjectKey>> RecoveryManager::verified_siblings(
+    const ObjectKey& key) const {
+  const auto& profile = cluster_.pool(static_cast<int>(key.pool)).ec_profile;
+  const auto acting = cluster_.acting_set(static_cast<int>(key.pool), key.oid);
+  std::vector<std::pair<int, ObjectKey>> sources;
+  for (unsigned s = 0; s < acting.size() && sources.size() < profile.k; ++s) {
+    if (static_cast<std::int32_t>(s) == key.shard) continue;
+    ObjectKey sibling = key;
+    sibling.shard = static_cast<std::int32_t>(s);
+    const int h = acting[s];
+    const auto& st = cluster_.osd(h).store();
+    if (!cluster_.osd_down(h) && !cluster_.object_degraded(h, sibling) &&
+        st.exists(sibling) && st.verify(sibling, 0, st.object_size(sibling)))
+      sources.emplace_back(h, sibling);
   }
-  struct State {
-    const RecoveryPlan* plan;
-    int pool = 0;
-    std::size_t next = 0;
-    std::size_t completed = 0;
-    std::function<void()> done;
-    std::function<void()> pump;
-  };
-  auto state = std::make_shared<State>();
-  state->plan = &plan;
-  state->pool = plan.pool;
-  state->done = std::move(done);
-
-  // Bounded-parallel pump: each finished copy starts the next. The pump
-  // lives inside the State it drives, so it holds only a weak
-  // self-reference — owning it would form a shared_ptr cycle and leak the
-  // whole chain. Pending on_done callbacks keep the State alive.
-  state->pump = [this, weak = std::weak_ptr<State>(state)] {
-    auto state = weak.lock();
-    if (!state || state->next >= state->plan->moves.size()) return;
-    const RecoveryMove move = state->plan->moves[state->next++];
-    auto on_done = [this, state, move] {
-      ++recovered_;
-      bytes_ += move.bytes;
-      if (++state->completed == state->plan->moves.size()) {
-        state->done();
-        return;
-      }
-      state->pump();
-    };
-    if (move.reconstruct) {
-      cluster_.reconstruct_shard(move.sources, move.to_osd, move.key,
-                                 rebuild_shard(state->pool, move),
-                                 std::move(on_done));
-    } else {
-      cluster_.backfill(move.from_osd, move.to_osd, move.key,
-                        std::move(on_done));
-    }
-  };
-  const std::size_t starters =
-      std::min<std::size_t>(max_parallel ? max_parallel : 1,
-                            plan.moves.size());
-  for (std::size_t i = 0; i < starters; ++i) state->pump();
+  return sources;
 }
 
-void RecoveryManager::execute_paced(const RecoveryPlan& plan,
-                                    const PacedOptions& options,
-                                    std::function<void()> done) {
+std::vector<std::uint8_t> RecoveryManager::rebuild_verified_shard(
+    const ObjectKey& key) const {
+  const int pool = static_cast<int>(key.pool);
+  RecoveryMove move;
+  move.key = key;
+  move.sources = verified_siblings(key);
+  if (move.sources.size() < cluster_.pool(pool).ec_profile.k) return {};
+  return rebuild_shard(pool, move);
+}
+
+void RecoveryManager::execute(const RecoveryPlan& plan,
+                              const PacedOptions& options,
+                              std::function<void()> done) {
   if (plan.moves.empty()) {
     cluster_.simulator().schedule_after(0, std::move(done));
     return;
@@ -237,10 +210,13 @@ void RecoveryManager::execute_paced(const RecoveryPlan& plan,
     cluster_.note_recovery_begin(move.key);
   }
 
-  // Same weak-self pump as execute(), with a token grant ahead of each
-  // launch: a move waits until the recovery bucket (filled at max_bps) has
-  // its bytes, clipped at pace_cap so an over-subscribed budget can delay
-  // backfill but never park it.
+  // Bounded-parallel pump: each settled move starts the next. The pump
+  // lives inside the State it drives, so it holds only a weak
+  // self-reference — owning it would form a shared_ptr cycle and leak the
+  // whole chain. Pending callbacks keep the State alive. A token grant
+  // precedes each launch: a move waits until the recovery bucket (filled
+  // at max_bps) has its bytes, clipped at pace_cap so an over-subscribed
+  // budget can delay backfill but never park it.
   state->pump = [this, weak = std::weak_ptr<State>(state)] {
     auto state = weak.lock();
     if (!state || state->next >= state->plan->moves.size()) return;
@@ -307,14 +283,13 @@ void RecoveryManager::execute_paced(const RecoveryPlan& plan,
       if (move.reconstruct) {
         cluster_.reconstruct_shard(
             move.sources, move.to_osd, move.key,
-            rebuild_shard(state->pool, move), std::move(on_done),
-            /*background=*/true,
-            /*refresh=*/[this, pool = state->pool, move] {
+            [this, pool = state->pool, move] {
               return rebuild_shard(pool, move);
-            });
+            },
+            std::move(on_done));
       } else {
         cluster_.backfill(move.from_osd, move.to_osd, move.key,
-                          std::move(on_done), /*background=*/true);
+                          std::move(on_done));
       }
     };
     sim.schedule_at(earliest, [launch = std::move(launch)]() mutable {
@@ -416,31 +391,8 @@ ScrubReport RecoveryManager::repair(int pool) {
       const auto& src = cluster_.osd(good[0]).store();
       replacement = src.read(key, 0, src.object_size(key));
     } else {
-      // EC shard: decode it back from k verified live siblings.
-      const unsigned k = pcfg.ec_profile.k;
-      std::vector<std::pair<int, ObjectKey>> sources;
-      for (unsigned s = 0;
-           s < pcfg.ec_profile.total() && sources.size() < k; ++s) {
-        if (static_cast<std::int32_t>(s) == key.shard) continue;
-        ObjectKey sibling = key;
-        sibling.shard = static_cast<std::int32_t>(s);
-        auto hit = holders.find(sibling);
-        if (hit == holders.end()) continue;
-        for (int h : hit->second) {
-          const auto& st = cluster_.osd(h).store();
-          if (!cluster_.osd_down(h) &&
-              st.verify(sibling, 0, st.object_size(sibling))) {
-            sources.emplace_back(h, sibling);
-            break;
-          }
-        }
-      }
-      if (sources.size() < k) continue;  // not enough clean siblings
-      RecoveryMove move;
-      move.key = key;
-      move.sources = std::move(sources);
-      replacement = rebuild_shard(pool, move);
-      if (replacement.empty()) continue;
+      replacement = rebuild_verified_shard(key);
+      if (replacement.empty()) continue;  // not enough clean siblings
     }
 
     for (int h : bad) {

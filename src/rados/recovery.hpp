@@ -17,6 +17,11 @@
 
 namespace dk::rados {
 
+/// Re-check cadence for recovery or repair work parked behind an in-flight
+/// client write on its object (the launch side of the recovery_blocked
+/// barrier).
+inline constexpr Nanos kWriteDrainRecheck = us(20);
+
 struct RecoveryMove {
   ObjectKey key;
   int from_osd = -1;  // copy source (-1 for reconstruction)
@@ -60,12 +65,7 @@ class RecoveryManager {
   /// copy from a surviving holder for each missing placement.
   RecoveryPlan plan(int pool) const;
 
-  /// Execute a plan with bounded parallelism; `done` fires when the last
-  /// copy lands. Time passes on the simulator (service + network costs).
-  void execute(const RecoveryPlan& plan, unsigned max_parallel,
-               std::function<void()> done);
-
-  /// Throttle knobs for execute_paced().
+  /// Throttle knobs for execute().
   struct PacedOptions {
     // Recovery token bucket: move launches are granted at this byte rate
     // across the whole plan (0 = unpaced).
@@ -77,21 +77,23 @@ class RecoveryManager {
     Nanos pace_cap = ms(5);
   };
 
-  /// Background-work accounting: each paced move is scheduled/resolved on
-  /// the validator (the background_leak quiescence rule).
+  /// Background-work accounting: each move is scheduled/resolved on the
+  /// validator (the background_leak quiescence rule).
   void set_validator(PipelineValidator* validator) { validator_ = validator; }
 
-  /// Execute a plan like execute(), but throttled by a token bucket at
-  /// `max_bps` and routed through the OSDs' background service class, so
-  /// every copy queues with — and yields to — client I/O. Moves whose
-  /// source or target crashed by grant time are cancelled (counted in
-  /// moves_cancelled()), not retried; a later re-plan picks them up.
-  void execute_paced(const RecoveryPlan& plan, const PacedOptions& options,
-                     std::function<void()> done);
+  /// Execute a plan with at most `max_parallel` moves in flight, each
+  /// launch granted by a token bucket at `max_bps`; `done` fires when the
+  /// last move settles. Every copy and reconstruction leg rides the OSDs'
+  /// background service class, so it queues with — and yields to — client
+  /// I/O while simulated time passes. Moves whose source or target crashed
+  /// by grant time are cancelled (counted in moves_cancelled()), not
+  /// retried; a later re-plan picks them up.
+  void execute(const RecoveryPlan& plan, const PacedOptions& options,
+               std::function<void()> done);
 
   std::uint64_t throttle_waits() const { return throttle_waits_; }
   std::uint64_t moves_cancelled() const { return moves_cancelled_; }
-  /// Paced-move launches deferred behind an in-flight client write on the
+  /// Move launches deferred behind an in-flight client write on the
   /// same object (the other half of the recovery_blocked barrier).
   std::uint64_t write_blocked_defers() const { return write_blocked_defers_; }
 
@@ -113,6 +115,19 @@ class RecoveryManager {
   /// deep scrub).
   ScrubReport repair(int pool);
 
+  /// The sibling shards an EC shard repair decodes from: up to k of them,
+  /// each read from the OSD placement assigns it (acting_set()[shard]) when
+  /// that OSD is up, not awaiting recovery of the shard, and its copy
+  /// verifies clean. Stale copies left on out OSDs are never used. Fewer
+  /// than k entries means the shard cannot be repaired now.
+  std::vector<std::pair<int, ObjectKey>> verified_siblings(
+      const ObjectKey& key) const;
+
+  /// Decode an EC shard's full content from verified_siblings() (the
+  /// shard-repair source for repair() and the background deep scrub).
+  /// Empty when fewer than k clean siblings survive.
+  std::vector<std::uint8_t> rebuild_verified_shard(const ObjectKey& key) const;
+
   std::uint64_t objects_recovered() const { return recovered_; }
   std::uint64_t bytes_recovered() const { return bytes_; }
   std::uint64_t scrub_repairs() const { return scrub_repairs_; }
@@ -130,7 +145,7 @@ class RecoveryManager {
   std::uint64_t recovered_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t scrub_repairs_ = 0;
-  // Paced execution: earliest next token grant, and its accounting.
+  // execute(): earliest next token grant, and its accounting.
   Nanos next_grant_ = 0;
   std::uint64_t throttle_waits_ = 0;
   std::uint64_t moves_cancelled_ = 0;

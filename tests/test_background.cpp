@@ -15,6 +15,7 @@
 #include "common/pipeline_validator.hpp"
 #include "common/rng.hpp"
 #include "core/framework.hpp"
+#include "ec/reed_solomon.hpp"
 #include "rados/client.hpp"
 #include "workload/fio.hpp"
 
@@ -26,6 +27,21 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint64_t seed) {
   std::vector<std::uint8_t> v(n);
   for (auto& b : v) b = static_cast<std::uint8_t>(rng.below(256));
   return v;
+}
+
+/// EC shard key of `oid` in `pool`.
+ObjectKey shard_key(int pool, std::uint64_t oid, unsigned shard) {
+  return ObjectKey{static_cast<std::uint32_t>(pool), oid,
+                   static_cast<std::int32_t>(shard)};
+}
+
+/// Flip stored bytes [from, to) of `key` on `osd` without refreshing their
+/// checksums (latent media corruption).
+void flip(Cluster& cluster, int osd, const ObjectKey& key, std::size_t from,
+          std::size_t to) {
+  auto raw = cluster.osd(osd).store().raw_bytes(key);
+  ASSERT_GE(raw.size(), to);
+  for (std::size_t i = from; i < to; ++i) raw[i] ^= 0xff;
 }
 
 /// Bare cluster with a replicated and an EC pool populated like the
@@ -55,6 +71,53 @@ class BackgroundFixture : public ::testing::Test {
     cluster_->set_background(background_.get());
     background_->start();
     return *background_;
+  }
+
+  /// Replace the cluster with an integrity-armed one whose EC 4+2 pool
+  /// holds objects 0..7 of pattern(bytes, 100 + oid). Each shard key lives
+  /// on exactly one OSD, so a scrub repair source is a decode of k verified
+  /// sibling shards.
+  void integrity_ec_cluster(std::size_t bytes) {
+    ClusterConfig cc;
+    cc.integrity = true;
+    cluster_ = std::make_unique<Cluster>(sim_, cc);
+    client_ = std::make_unique<RadosClient>(*cluster_);
+    client_->set_integrity(true);
+    ec_pool_ = cluster_->create_ec_pool("ec", ec::Profile{4, 2});
+    for (std::uint64_t oid = 0; oid < 8; ++oid) {
+      client_->write(ec_pool_, oid, 0, pattern(bytes, 100 + oid),
+                     WriteStrategy::client_fanout, [](Status) {});
+    }
+    sim_.run();
+  }
+
+  BackgroundScheduler& arm_scrub(std::uint64_t chunk_bytes = 128 * KiB) {
+    BackgroundConfig bc;
+    bc.scrub_interval = ms(10);
+    bc.horizon = ms(25);
+    bc.scrub_chunk_bytes = chunk_bytes;
+    return arm(bc);
+  }
+
+  std::vector<std::uint8_t> stored(int osd, const ObjectKey& key) const {
+    const auto& store = cluster_->osd(osd).store();
+    return store.read(key, 0, store.object_size(key));
+  }
+
+  bool verifies(int osd, const ObjectKey& key) const {
+    const auto& store = cluster_->osd(osd).store();
+    return store.verify(key, 0, store.object_size(key));
+  }
+
+  Result<std::vector<std::uint8_t>> read_ec(std::uint64_t oid,
+                                            std::size_t bytes) {
+    Result<std::vector<std::uint8_t>> r = Status::Error(Errc::timed_out);
+    client_->read(ec_pool_, oid, 0, bytes, ReadStrategy::direct_shards,
+                  [&](Result<std::vector<std::uint8_t>> x) {
+                    r = std::move(x);
+                  });
+    sim_.run();
+    return r;
   }
 
   Nanos total_bg_busy() const {
@@ -181,6 +244,152 @@ TEST_F(BackgroundFixture, ScrubRepairsCorruptChunkFromVerifiedReplica) {
   const auto& store = cluster_->osd(acting[0]).store();
   EXPECT_TRUE(store.verify(key, 0, store.object_size(key)))
       << "repair must leave the copy verifying clean";
+}
+
+TEST_F(BackgroundFixture, ScrubRepairsCorruptEcShardChunk) {
+  integrity_ec_cluster(8192);
+  const auto acting = cluster_->acting_set(ec_pool_, 3);
+  ASSERT_EQ(acting.size(), 6u);
+  const ObjectKey key = shard_key(ec_pool_, 3, 1);
+  flip(*cluster_, acting[1], key, 100, 116);
+
+  BackgroundScheduler& bg = arm_scrub();
+  sim_.run();
+
+  EXPECT_GT(bg.scrub_errors(), 0u) << "scrub missed the corrupt shard";
+  EXPECT_GT(bg.scrub_repairs(), 0u) << "no EC shard repair source found";
+  EXPECT_TRUE(verifies(acting[1], key))
+      << "repair must leave the shard verifying clean";
+  const auto r = read_ec(3, 8192);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, pattern(8192, 103));
+}
+
+TEST_F(BackgroundFixture, ScrubRewritesEachCorruptShardOnce) {
+  // Two bad chunks of one shard: the first conviction queues a whole-shard
+  // rewrite, which also covers the second.
+  integrity_ec_cluster(64 * KiB);  // 16 KiB shards, scrubbed in 4 KiB chunks
+  const auto acting = cluster_->acting_set(ec_pool_, 3);
+  const ObjectKey key = shard_key(ec_pool_, 3, 1);
+  const auto expected = stored(acting[1], key);
+  flip(*cluster_, acting[1], key, 100, 116);
+  flip(*cluster_, acting[1], key, 4 * KiB + 100, 4 * KiB + 116);
+
+  BackgroundScheduler& bg = arm_scrub(4 * KiB);
+  sim_.run();
+
+  EXPECT_EQ(bg.scrub_errors(), 2u) << "both bad chunks must be convicted";
+  EXPECT_EQ(bg.scrub_repairs(), 1u) << "one rewrite per shard";
+  EXPECT_EQ(stored(acting[1], key), expected);
+  EXPECT_TRUE(verifies(acting[1], key));
+}
+
+TEST_F(BackgroundFixture, EcShardRepairWaitsOutInFlightClientWrite) {
+  // An overwrite of oid 3 is in flight: it has landed on shards 0 and 1,
+  // and shard 1 then rots. A repair decoded now would mix shard 0 (new)
+  // with shards 2..4 (old) and persist wrong bytes under fresh checksums;
+  // the repair must wait until the write has landed everywhere.
+  integrity_ec_cluster(8192);
+  const auto acting = cluster_->acting_set(ec_pool_, 3);
+  ASSERT_EQ(acting.size(), 6u);
+  const auto data = pattern(8192, 999);
+  ec::ReedSolomon rs(cluster_->pool(ec_pool_).ec_profile);
+  auto shards = rs.split(data);
+  auto coding = rs.encode(shards);
+  ASSERT_TRUE(coding.ok());
+  for (auto& c : *coding) shards.push_back(std::move(c));
+
+  cluster_->note_client_write_begin(static_cast<std::uint32_t>(ec_pool_), 3);
+  for (unsigned s = 0; s < 2; ++s)
+    cluster_->osd(acting[s]).apply_durable(shard_key(ec_pool_, 3, s),
+                                           0, shards[s], {});
+  flip(*cluster_, acting[1], shard_key(ec_pool_, 3, 1), 100, 116);
+
+  BackgroundScheduler& bg = arm_scrub();
+  while (bg.scrub_errors() == 0 && sim_.step()) {
+  }
+  ASSERT_GT(bg.scrub_errors(), 0u) << "scrub missed the corrupt shard";
+  sim_.run_until(sim_.now() + ms(1));
+  EXPECT_EQ(bg.scrub_repairs(), 0u)
+      << "the repair must not run under an in-flight client write";
+
+  // The rest of the write lands and it completes.
+  for (unsigned s = 2; s < 6; ++s)
+    cluster_->osd(acting[s]).apply_durable(shard_key(ec_pool_, 3, s),
+                                           0, shards[s], {});
+  cluster_->note_client_write_end(static_cast<std::uint32_t>(ec_pool_), 3);
+  sim_.run();
+
+  EXPECT_GT(bg.scrub_repairs(), 0u);
+  EXPECT_EQ(stored(acting[1], shard_key(ec_pool_, 3, 1)), shards[1]);
+  const auto r = read_ec(3, 8192);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, data);
+}
+
+TEST_F(BackgroundFixture, EcShardRepairIgnoresStaleCopiesOnOutOsd) {
+  // After a mark-out the out OSD keeps its old, still-verifying copies of
+  // the shards it held. Once the object is overwritten, a repair that took
+  // such a copy as a sibling would decode a wrong shard. Find an object
+  // and shard s whose stale copy sits on a lower OSD id than the shard's
+  // new holder, so a lowest-id-first pick would choose it.
+  integrity_ec_cluster(8192);
+  std::vector<std::vector<int>> before;
+  for (std::uint64_t oid = 0; oid < 8; ++oid)
+    before.push_back(cluster_->acting_set(ec_pool_, oid));
+  int out = -1;
+  std::uint64_t oid = 0;
+  unsigned s = 0;
+  for (int o = 0; o < static_cast<int>(cluster_->osd_count()) && out < 0;
+       ++o) {
+    cluster_->set_osd_out(o, true);
+    for (std::uint64_t x = 0; x < 8 && out < 0; ++x) {
+      const auto after = cluster_->acting_set(ec_pool_, x);
+      for (unsigned sh = 0; sh <= 4 && out < 0; ++sh) {
+        if (before[x][sh] == o && after[sh] > o) {
+          out = o;
+          oid = x;
+          s = sh;
+        }
+      }
+    }
+    cluster_->set_osd_out(o, false);
+  }
+  ASSERT_GE(out, 0) << "no placement puts a stale sibling first";
+
+  // Recover onto the new placement, then overwrite the object.
+  cluster_->set_osd_out(out, true);
+  RecoveryManager rec(*cluster_);
+  const RecoveryPlan plan = rec.plan(ec_pool_);
+  RecoveryManager::PacedOptions unpaced;
+  unpaced.max_bps = 0;
+  rec.execute(plan, unpaced, [] {});
+  sim_.run();
+  const ObjectKey stale = shard_key(ec_pool_, oid, s);
+  ASSERT_TRUE(cluster_->osd(out).store().exists(stale));
+  const auto data = pattern(8192, 777);
+  Status wres = Status::Error(Errc::timed_out);
+  client_->write(ec_pool_, oid, 0, data, WriteStrategy::client_fanout,
+                 [&](Status st) { wres = st; });
+  sim_.run();
+  ASSERT_TRUE(wres.ok());
+
+  // Corrupt a shard whose first k siblings include shard s.
+  const auto acting = cluster_->acting_set(ec_pool_, oid);
+  const unsigned t = s == 0 ? 1 : 0;
+  const ObjectKey key = shard_key(ec_pool_, oid, t);
+  const auto expected = stored(acting[t], key);
+  flip(*cluster_, acting[t], key, 100, 116);
+
+  BackgroundScheduler& bg = arm_scrub();
+  sim_.run();
+
+  EXPECT_GT(bg.scrub_repairs(), 0u);
+  EXPECT_EQ(stored(acting[t], key), expected)
+      << "the repair decoded from a stale sibling";
+  const auto r = read_ec(oid, 8192);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, data);
 }
 
 // --- paced recovery ---------------------------------------------------------

@@ -84,11 +84,17 @@ TEST_F(RecoveryFixture, ExecuteRestoresFullRedundancy) {
 
   bool finished = false;
   const Nanos t0 = sim_.now();
-  rec.execute(plan, /*max_parallel=*/4, [&] { finished = true; });
+  rec.execute(plan, {.max_bps = 0, .max_parallel = 4},
+              [&] { finished = true; });
   sim_.run();
   ASSERT_TRUE(finished);
   EXPECT_GT(sim_.now(), t0) << "backfill must consume simulated time";
   EXPECT_EQ(rec.objects_recovered(), plan.moves.size());
+  // Even unpaced, every copy rides the OSDs' background service class.
+  Nanos bg_busy = 0;
+  for (std::size_t i = 0; i < cluster_->osd_count(); ++i)
+    bg_busy += cluster_->osd(static_cast<int>(i)).workers().bg_busy_time();
+  EXPECT_GT(bg_busy, 0) << "recovery copies must charge the background class";
 
   // After recovery, a fresh plan is empty and scrub only flags the stale
   // copies still sitting on the out OSD (misplaced, not missing).
@@ -104,7 +110,7 @@ TEST_F(RecoveryFixture, RecoveredDataIsReadable) {
   cluster_->set_osd_down(3, true);
   RecoveryManager rec(*cluster_);
   auto plan = rec.plan(pool_);
-  rec.execute(plan, 8, [] {});
+  rec.execute(plan, {.max_bps = 0, .max_parallel = 8}, [] {});
   sim_.run();
 
   // Every object reads back correctly through the new acting sets.
@@ -123,7 +129,7 @@ TEST_F(RecoveryFixture, EcShardRecovery) {
   cluster_->set_osd_down(7, true);
   RecoveryManager rec(*cluster_);
   auto plan = rec.plan(ec_pool_);
-  rec.execute(plan, 4, [] {});
+  rec.execute(plan, {.max_bps = 0, .max_parallel = 4}, [] {});
   sim_.run();
   auto report = rec.scrub(ec_pool_);
   EXPECT_EQ(report.missing, 0u);
@@ -153,7 +159,8 @@ TEST_F(RecoveryFixture, EmptyPlanCompletesImmediately) {
   RecoveryManager rec(*cluster_);
   RecoveryPlan empty;
   bool finished = false;
-  rec.execute(empty, 4, [&] { finished = true; });
+  rec.execute(empty, {.max_bps = 0, .max_parallel = 4},
+              [&] { finished = true; });
   sim_.run();
   EXPECT_TRUE(finished);
 }

@@ -76,9 +76,8 @@ fi
 # Rebuild-storm bench: deterministic (fixed seed, simulated time) but armed
 # (background recovery on), so it writes BENCH_rebuild_storm.json rather
 # than bench_output.txt — the background-off log stays byte-identical.
-# DK_SKIP_STORM=1 skips it (CI legs that only check the deterministic log).
 storm="${build_dir}/bench/storm_rebuild"
-if [[ -x "${storm}" && -z "${DK_SKIP_STORM:-}" ]]; then
+if [[ -x "${storm}" ]]; then
   "${storm}" "${repo_root}/BENCH_rebuild_storm.json"
 else
   echo "skipping BENCH_rebuild_storm.json" >&2
