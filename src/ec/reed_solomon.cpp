@@ -19,12 +19,15 @@ std::vector<Chunk> ReedSolomon::split(
     std::span<const std::uint8_t> object) const {
   const unsigned k = profile_.k;
   const std::size_t chunk_size = (object.size() + k - 1) / k;
-  std::vector<Chunk> chunks(k, Chunk(chunk_size, 0));
+  std::vector<Chunk> chunks;
+  chunks.reserve(k);
   for (unsigned i = 0; i < k; ++i) {
-    const std::size_t off = static_cast<std::size_t>(i) * chunk_size;
-    if (off >= object.size()) break;
+    const std::size_t off =
+        std::min(static_cast<std::size_t>(i) * chunk_size, object.size());
     const std::size_t n = std::min(chunk_size, object.size() - off);
-    std::copy_n(object.data() + off, n, chunks[i].data());
+    Chunk& chunk = chunks.emplace_back(object.begin() + off,
+                                       object.begin() + off + n);
+    chunk.resize(chunk_size, 0);  // zero padding of the last chunk(s)
   }
   return chunks;
 }
@@ -38,11 +41,13 @@ Result<std::vector<Chunk>> ReedSolomon::encode(
     if (c.size() != chunk_size)
       return Status::Error(Errc::invalid_argument, "unequal chunk sizes");
 
-  std::vector<Chunk> coding(profile_.m, Chunk(chunk_size, 0));
+  std::vector<Chunk> coding;
+  coding.reserve(profile_.m);
   for (unsigned i = 0; i < profile_.m; ++i) {
     const std::uint8_t* grow = generator_.row(profile_.k + i);
+    Chunk& parity = coding.emplace_back(chunk_size, 0);
     for (unsigned j = 0; j < profile_.k; ++j)
-      gf::mul_add_region(grow[j], data[j], coding[i]);
+      gf::mul_add_region(grow[j], data[j], parity);
   }
   return coding;
 }

@@ -64,9 +64,13 @@ void RbdDevice::aio_write(std::uint64_t offset, std::vector<std::uint8_t> data,
 
   std::uint64_t consumed = 0;
   for (const Extent& e : exts) {
-    std::vector<std::uint8_t> part(
-        data.begin() + static_cast<std::ptrdiff_t>(consumed),
-        data.begin() + static_cast<std::ptrdiff_t>(consumed + e.len));
+    // An I/O inside one object hands its buffer over whole.
+    std::vector<std::uint8_t> part =
+        exts.size() == 1
+            ? std::move(data)
+            : std::vector<std::uint8_t>(
+                  data.begin() + static_cast<std::ptrdiff_t>(consumed),
+                  data.begin() + static_cast<std::ptrdiff_t>(consumed + e.len));
     consumed += e.len;
     const auto len = static_cast<std::int32_t>(e.len);
     client_.write(spec_.pool, e.oid, e.obj_off, std::move(part), strategy,

@@ -191,11 +191,15 @@ void Cluster::arm_faults(sim::FaultInjector& faults) {
       if (target < 0 ||
           static_cast<std::size_t>(target) >= osds_.size())
         return;  // no copy exists yet: nothing to corrupt, no rng draw
-      auto bytes = osd(target).store().raw_bytes(key);
-      if (bytes.empty()) return;
+      ObjectStore& store = osd(target).store();
+      const std::uint64_t size = store.object_size(key);
+      if (size == 0) return;
       // Flip bits behind the checksum metadata's back: only a verify can
       // tell this copy went bad.
-      faults_->corrupt_bytes(bytes, ev.bit_flips);
+      for (unsigned i = 0; i < ev.bit_flips; ++i) {
+        const auto flip = faults_->draw_bit_flip(size);
+        store.flip_bits(key, flip.byte, flip.mask);
+      }
       faults_->count_media_corruption();
     });
   }

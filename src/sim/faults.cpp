@@ -105,10 +105,15 @@ void FaultInjector::corrupt_bytes(std::span<std::uint8_t> bytes,
                                   unsigned bit_flips) {
   DK_CHECK(!bytes.empty());
   for (unsigned i = 0; i < bit_flips; ++i) {
-    const std::uint64_t byte = corrupt_rng_.below(bytes.size());
-    const auto bit = static_cast<std::uint8_t>(corrupt_rng_.below(8));
-    bytes[byte] ^= static_cast<std::uint8_t>(1u << bit);
+    const BitFlip flip = draw_bit_flip(bytes.size());
+    bytes[flip.byte] ^= flip.mask;
   }
+}
+
+FaultInjector::BitFlip FaultInjector::draw_bit_flip(std::uint64_t size) {
+  const std::uint64_t byte = corrupt_rng_.below(size);
+  const auto bit = static_cast<std::uint8_t>(corrupt_rng_.below(8));
+  return {byte, static_cast<std::uint8_t>(1u << bit)};
 }
 
 void FaultInjector::count_media_corruption() {

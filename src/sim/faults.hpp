@@ -172,6 +172,14 @@ class FaultInjector {
   /// Flip `bit_flips` random bits of `bytes` in place (no counting — the
   /// caller resolves which OSD/object is hit and counts the event kind).
   void corrupt_bytes(std::span<std::uint8_t> bytes, unsigned bit_flips);
+  /// One random bit flip in `size` bytes: XOR `mask` into byte `byte`.
+  /// corrupt_bytes() applies `bit_flips` of these in draw order; a caller
+  /// whose bytes are not one span applies them itself.
+  struct BitFlip {
+    std::uint64_t byte;
+    std::uint8_t mask;
+  };
+  BitFlip draw_bit_flip(std::uint64_t size);
   void count_media_corruption();
   void count_torn_write();
   /// How many bytes of a torn write land (uniform in [1, size - 1]).

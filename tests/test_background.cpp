@@ -39,9 +39,9 @@ ObjectKey shard_key(int pool, std::uint64_t oid, unsigned shard) {
 /// checksums (latent media corruption).
 void flip(Cluster& cluster, int osd, const ObjectKey& key, std::size_t from,
           std::size_t to) {
-  auto raw = cluster.osd(osd).store().raw_bytes(key);
-  ASSERT_GE(raw.size(), to);
-  for (std::size_t i = from; i < to; ++i) raw[i] ^= 0xff;
+  auto& store = cluster.osd(osd).store();
+  ASSERT_GE(store.object_size(key), to);
+  for (std::size_t i = from; i < to; ++i) store.flip_bits(key, i, 0xff);
 }
 
 /// Bare cluster with a replicated and an EC pool populated like the
@@ -229,9 +229,7 @@ TEST_F(BackgroundFixture, ScrubRepairsCorruptChunkFromVerifiedReplica) {
   const auto acting = cluster_->acting_set(pool_, 3);
   ASSERT_GE(acting.size(), 2u);
   ObjectKey key{static_cast<std::uint32_t>(pool_), 3, -1};
-  auto raw = cluster_->osd(acting[0]).store().raw_bytes(key);
-  ASSERT_FALSE(raw.empty());
-  for (std::size_t i = 100; i < 116; ++i) raw[i] ^= 0xff;
+  flip(*cluster_, acting[0], key, 100, 116);
 
   BackgroundConfig bc;
   bc.scrub_interval = ms(10);

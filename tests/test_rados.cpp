@@ -3,6 +3,7 @@
 // client-encode), degraded reads, and placement behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/rng.hpp"
@@ -62,6 +63,121 @@ TEST(ObjectStore, RemoveAndAccounting) {
   store.remove(key);
   EXPECT_FALSE(store.exists(key));
   EXPECT_EQ(store.bytes_stored(), 0u);
+}
+
+// --- Extent-backed layout: holes, fresh blocks, extent boundaries ---------
+
+constexpr std::uint64_t kBlk = kChecksumBlockBytes;
+
+TEST(ObjectStore, FarWriteStoresOnlyThatBlock) {
+  ObjectStore store;
+  const ObjectKey key{1, 3, -1};
+  const std::uint64_t off = 3 * ObjectStore::kExtentBytes + 5 * kBlk;
+  const auto data = pattern(kBlk, 7);
+  store.write(key, off, data);
+  EXPECT_EQ(store.stored_blocks(key), 1u);
+  EXPECT_EQ(store.object_size(key), off + kBlk);
+  EXPECT_EQ(store.read(key, off, kBlk), data);
+}
+
+TEST(ObjectStore, HolesReadAsZerosAndSizesStayLogical) {
+  ObjectStore store;
+  const ObjectKey key{1, 4, -1};
+  const auto head = pattern(100, 1);
+  const auto tail = pattern(100, 2);
+  const std::uint64_t tail_off = 2 * ObjectStore::kExtentBytes + 5;
+  store.write(key, 0, head);
+  store.write(key, tail_off, tail);
+  EXPECT_EQ(store.stored_blocks(key), 2u);
+  EXPECT_EQ(store.object_size(key), tail_off + 100);
+  EXPECT_EQ(store.bytes_stored(), tail_off + 100);
+
+  std::vector<std::uint8_t> expected(tail_off + 100, 0);
+  std::copy(head.begin(), head.end(), expected.begin());
+  std::copy(tail.begin(), tail.end(), expected.begin() + tail_off);
+  EXPECT_EQ(store.read(key, 0, tail_off + 100), expected);
+  // A read wholly inside a hole, and one past the end.
+  EXPECT_EQ(store.read(key, ObjectStore::kExtentBytes, 3 * kBlk),
+            std::vector<std::uint8_t>(3 * kBlk, 0));
+  EXPECT_EQ(store.read(key, tail_off + 100, 10),
+            std::vector<std::uint8_t>(10, 0));
+}
+
+TEST(ObjectStore, PartialWriteToFreshBlockZeroFillsRestOfBlock) {
+  ObjectStore store;
+  const ObjectKey key{1, 5, -1};
+  // A removed object's extent is reused as it is, so the next fresh extent
+  // holds 0xee bytes: only the store's zeroing can hide them.
+  const ObjectKey dirty{1, 50, -1};
+  store.write(dirty, 0,
+              std::vector<std::uint8_t>(ObjectStore::kExtentBytes, 0xee));
+  store.remove(dirty);
+  store.write(key, 0, std::vector<std::uint8_t>(kBlk, 0xee));
+  const auto data = pattern(10, 3);
+  store.write(key, kBlk + 100, data);
+  // Then grow past the partial block: its bytes after the first write's
+  // end must still read as zeros, not as whatever the extent held.
+  store.write(key, 3 * kBlk, std::vector<std::uint8_t>{0x11});
+  std::vector<std::uint8_t> expected(kBlk, 0);
+  std::copy(data.begin(), data.end(), expected.begin() + 100);
+  EXPECT_EQ(store.read(key, kBlk, kBlk), expected);
+  EXPECT_EQ(store.read(key, 3 * kBlk - 1, 2),
+            (std::vector<std::uint8_t>{0, 0x11}));
+  EXPECT_EQ(store.stored_blocks(key), 3u);
+}
+
+TEST(ObjectStore, WriteSpanningExtentBoundaryRoundTrips) {
+  ObjectStore store;
+  const ObjectKey key{1, 6, -1};
+  const std::uint64_t off = ObjectStore::kExtentBytes - 5000;
+  const auto data = pattern(3 * kBlk + 123, 4);
+  store.write(key, off, data);
+  EXPECT_EQ(store.read(key, off, data.size()), data);
+  EXPECT_EQ(store.object_size(key), off + data.size());
+  // Blocks 254 and 255 of extent 0, then blocks 0 and 1 of extent 1.
+  EXPECT_EQ(store.stored_blocks(key), 4u);
+  EXPECT_EQ(store.read(key, off - 3, 3), std::vector<std::uint8_t>(3, 0));
+}
+
+TEST(ObjectStore, VerifyPassesOnHolesAndFailsOnFlipIntoHole) {
+  ObjectStore store;
+  store.set_integrity(true);
+  const ObjectKey key{1, 7, -1};
+  store.write(key, 0, pattern(kBlk, 5));
+  store.write(key, 16 * kBlk, pattern(kBlk, 6));
+  const std::uint64_t size = store.object_size(key);
+  EXPECT_EQ(store.stored_blocks(key), 2u);
+  EXPECT_TRUE(store.verify(key, 0, size));
+  EXPECT_EQ(store.checksums_for(key, 0, size).size(), 17u);
+
+  const std::uint64_t hole_byte = 9 * kBlk + 17;
+  store.flip_bits(key, hole_byte, 0x04);
+  EXPECT_EQ(store.stored_blocks(key), 3u);  // the flip materialized block 9
+  EXPECT_EQ(store.read(key, hole_byte, 1)[0], 0x04);
+  EXPECT_FALSE(store.verify(key, 9 * kBlk, kBlk));
+  EXPECT_FALSE(store.verify(key, 0, size));
+  EXPECT_TRUE(store.verify(key, 0, 9 * kBlk));
+  EXPECT_TRUE(store.verify(key, 10 * kBlk, size - 10 * kBlk));
+}
+
+TEST(ObjectStore, EarlierBytesSurviveManyLaterWrites) {
+  // Random writes of varied sizes over a 4 MiB object, checked against a
+  // flat shadow copy: no write may disturb bytes it does not cover.
+  ObjectStore store;
+  const ObjectKey key{1, 8, -1};
+  const std::uint64_t span = 4 * ObjectStore::kExtentBytes;
+  std::vector<std::uint8_t> shadow;
+  Rng rng(11);
+  for (int i = 0; i < 600; ++i) {
+    const std::uint64_t len = 1 + rng.below(3 * kBlk);
+    const std::uint64_t off = rng.below(span - len);
+    const auto data = pattern(len, 100 + i);
+    store.write(key, off, data);
+    if (shadow.size() < off + len) shadow.resize(off + len, 0);
+    std::copy(data.begin(), data.end(), shadow.begin() + off);
+  }
+  EXPECT_EQ(store.object_size(key), shadow.size());
+  EXPECT_EQ(store.read(key, 0, shadow.size()), shadow);
 }
 
 class ClusterFixture : public ::testing::Test {

@@ -185,11 +185,11 @@ class IntegrityFixture : public ::testing::Test {
   }
 
   /// Flip one bit in the middle of `key`'s copy on `osd` through
-  /// raw_bytes(), bypassing checksum maintenance — latent media corruption.
+  /// flip_bits(), bypassing checksum maintenance — latent media corruption.
   void corrupt(int osd, const ObjectKey& key) {
-    auto bytes = cluster_->osd(osd).store().raw_bytes(key);
-    ASSERT_FALSE(bytes.empty());
-    bytes[bytes.size() / 2] ^= 0x40;
+    auto& store = cluster_->osd(osd).store();
+    ASSERT_GT(store.object_size(key), 0u);
+    store.flip_bits(key, store.object_size(key) / 2, 0x40);
   }
 
   Result<std::vector<std::uint8_t>> read_back(int pool, std::uint64_t oid,
@@ -371,7 +371,7 @@ ObjectStore flipped_store(const ObjectKey& key, std::uint64_t flipped) {
   st.set_integrity(true);
   const auto base = pattern(2 * kChecksumBlockBytes, 1);
   st.write(key, 0, base, block_checksums(base));
-  st.raw_bytes(key)[flipped * kChecksumBlockBytes + 100] ^= 0x08;
+  st.flip_bits(key, flipped * kChecksumBlockBytes + 100, 0x08);
   EXPECT_FALSE(st.verify(key, flipped * kChecksumBlockBytes, 1));
   return st;
 }
