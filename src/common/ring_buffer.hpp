@@ -87,10 +87,20 @@ class SpscRing {
   }
 
   bool try_push(const T& value) {
+    return try_push(value, [] {});
+  }
+
+  /// try_push that calls `before_publish()` once the slot is known to be
+  /// free and has been written, before the release store of the tail. What
+  /// the callback records therefore happens-before the consumer's pop of
+  /// this entry. Not called when the ring is full.
+  template <typename F>
+  bool try_push(const T& value, F&& before_publish) {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     const std::uint64_t head = head_.load(std::memory_order_acquire);
     if (tail - head > mask_) return false;  // full
     slots_[tail & mask_] = value;
+    before_publish();
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }

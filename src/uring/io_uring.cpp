@@ -31,12 +31,15 @@ void IoUring::attach_validator(PipelineValidator& validator,
 }
 
 Status IoUring::prep(const Sqe& sqe) {
-  if (!sq_.try_push(sqe)) {
+  // Report before the tail publish: once it is visible the SQ consumer may
+  // pop the SQE and report it issued.
+  if (!sq_.try_push(sqe, [this] {
+        if (validator_) validator_->on_sqe_queued(ring_id_);
+      })) {
     stats_.sq_full_rejects.fetch_add(1, kRelaxed);
     if (metrics_.sq_full) metrics_.sq_full->inc();
     return Status::Error(Errc::again, "SQ full");
   }
-  if (validator_) validator_->on_sqe_queued(ring_id_);
   return Status::Ok();
 }
 
@@ -99,15 +102,26 @@ bool IoUring::resolve(Sqe& sqe) {
   return true;
 }
 
-void IoUring::post_cqe(const Cqe& cqe) {
-  // CQ overflow mirrors the kernel: the CQ is sized 2x SQ so an app that
-  // bounds inflight <= sq_entries cannot overflow. A drop is therefore an
-  // accounting bug, which the validator records.
-  if (cq_.try_push(cqe)) {
+bool IoUring::push_cqe(const Cqe& cqe) {
+  // Report before the tail publish: once it is visible the application may
+  // reap the CQE and report it reaped.
+  return cq_.try_push(cqe, [&] {
     if (validator_) validator_->on_cqe_posted(ring_id_, cqe.user_data);
-  } else if (validator_) {
-    validator_->on_cqe_dropped(ring_id_, cqe.user_data);
+  });
+}
+
+bool IoUring::flush_cq_backlog() {
+  while (!cq_backlog_.empty()) {
+    if (!push_cqe(cq_backlog_.front())) return false;
+    cq_backlog_.pop_front();
   }
+  return true;
+}
+
+void IoUring::post_cqe(const Cqe& cqe) {
+  // NODROP (IORING_FEAT_NODROP): a CQE that does not fit waits on the
+  // backlog. The backlog flushes first, so no CQE overtakes an older one.
+  if (!flush_cq_backlog() || !push_cqe(cqe)) cq_backlog_.push_back(cqe);
 }
 
 void IoUring::issue(const Sqe& sqe) {
@@ -153,6 +167,10 @@ void IoUring::issue_chain(std::shared_ptr<std::vector<Sqe>> chain,
 }
 
 unsigned IoUring::drain_sq() {
+  // Backpressure, the kernel's -EBUSY: while overflowed CQEs cannot be
+  // flushed no SQE moves, so the SQ fills, prep() returns `again` and the
+  // application has to reap.
+  if (!flush_cq_backlog()) return 0;
   unsigned n = 0;
   Sqe sqe;
   while (sq_.try_pop(sqe)) {

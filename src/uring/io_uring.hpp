@@ -10,13 +10,19 @@
 //   * batching: any number of queued SQEs are handed to the backend with
 //     ONE enter() call (one "system call");
 //   * kernel-polled mode: a poller drains the SQ without enter() calls;
-//   * multi-instance with per-CPU binding (see UringRegistry).
+//   * multi-instance with per-CPU binding (see UringRegistry);
+//   * no lost completions (IORING_FEAT_NODROP, every kernel since 5.5): a
+//     CQE that finds the CQ full waits, in order, on an overflow backlog
+//     and is flushed into the CQ before any newer CQE. While the backlog
+//     cannot be flushed, enter()/kernel_poll() move no SQE (the kernel's
+//     -EBUSY), so the SQ fills and prep() fails until the app reaps.
 //
 // Accounting (syscall count, batch histogram, completion counts) is exposed
 // so benchmarks can attribute speedups to specific mechanisms.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -93,6 +99,7 @@ class IoUring {
   unsigned sq_capacity() const { return static_cast<unsigned>(sq_.capacity()); }
   std::size_t sq_pending() const { return sq_.size(); }
   std::size_t cq_ready() const { return cq_.size(); }
+  /// Submitted and not yet in the CQ or reaped; includes the CQ backlog.
   std::uint64_t inflight() const {
     return stats_.sqes_submitted.load(std::memory_order_relaxed) -
            stats_.cqes_reaped.load(std::memory_order_relaxed) - cq_.size();
@@ -127,12 +134,15 @@ class IoUring {
   std::size_t registered_file_count() const { return files_.size(); }
 
   /// io_uring_enter(): hand every queued SQE to the backend in ONE call.
-  /// Returns the number of SQEs consumed. In kernel_polled mode this is a
-  /// no-op returning 0 (the poller owns the SQ; see kernel_poll()).
+  /// Returns the number of SQEs consumed. It first flushes the CQ backlog
+  /// and consumes nothing (returns 0) while that backlog cannot be emptied.
+  /// In kernel_polled mode this is a no-op returning 0 (the poller owns the
+  /// SQ; see kernel_poll()).
   unsigned enter();
 
-  /// Kernel SQ-poll thread iteration: drain queued SQEs without a syscall.
-  /// Only valid in kernel_polled mode.
+  /// Kernel SQ-poll thread iteration: drain queued SQEs without a syscall,
+  /// after flushing the CQ backlog as enter() does. Only valid in
+  /// kernel_polled mode.
   unsigned kernel_poll();
 
   /// Reap up to out.size() completions into `out`; returns the count.
@@ -147,15 +157,23 @@ class IoUring {
   /// are resolved once here; hot-path updates are lock-free.
   void attach_metrics(MetricsRegistry& registry, const std::string& prefix);
 
-  /// Report ring lifecycle events (SQE queued/issued, CQE posted/reaped,
-  /// CQ overflow) to `validator` as ring `ring_id`. Same pattern as
-  /// attach_metrics(): a null-checked pointer on the hot path.
+  /// Report ring lifecycle events (SQE queued/issued, CQE posted/reaped)
+  /// to `validator` as ring `ring_id`. Same pattern as attach_metrics(): a
+  /// null-checked pointer on the hot path. Queued and posted are reported
+  /// before the SQ/CQ tail publish, so they always precede the other
+  /// thread's issued/reaped report. A backlogged CQE counts as posted when
+  /// it reaches the CQ.
   void attach_validator(PipelineValidator& validator, unsigned ring_id);
 
  private:
   unsigned drain_sq();
-  // Post a CQE, reporting posts and overflow drops to the validator.
+  // Post a CQE into the CQ, or onto the backlog when the CQ is full or the
+  // backlog is not empty. Never drops.
   void post_cqe(const Cqe& cqe);
+  // Push one CQE into the CQ, reporting it posted; false when the CQ is full.
+  bool push_cqe(const Cqe& cqe);
+  // Move backlogged CQEs into the CQ in order; true once the backlog is empty.
+  bool flush_cq_backlog();
   // Resolve fixed buffers/files into a plain SQE; nullopt -> invalid, and a
   // CQE with -invalid_argument is posted directly.
   bool resolve(Sqe& sqe);
@@ -176,6 +194,11 @@ class IoUring {
   Backend& backend_;
   SpscRing<Sqe> sq_;
   SpscRing<Cqe> cq_;
+  // CQ overflow backlog. Needs no lock: only the CQ producer touches it,
+  // and that is the thread that drains the SQ, which already posts the
+  // -invalid_argument and canceled CQEs itself. Backend completions must
+  // run on that thread too (the DES, RamDisk inline or its poll()).
+  std::deque<Cqe> cq_backlog_;
   AtomicStats stats_;
   std::vector<std::pair<std::uint64_t, std::uint32_t>> buffers_;
   std::vector<std::int32_t> files_;

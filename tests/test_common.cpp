@@ -167,6 +167,20 @@ TEST(SpscRing, BatchPushRespectsCapacity) {
   EXPECT_EQ(ring.try_push_batch(in, 10), 0u);
 }
 
+TEST(SpscRing, BeforePublishRunsUnpublishedAndOnlyOnSuccess) {
+  SpscRing<int> ring(2);
+  int calls = 0;
+  for (int v = 0; v < 3; ++v) {
+    ring.try_push(v, [&] {
+      ++calls;
+      EXPECT_EQ(ring.size(), static_cast<std::size_t>(v))
+          << "entry visible before its callback ran";
+    });
+  }
+  EXPECT_EQ(calls, 2) << "callback ran for a push into a full ring";
+  EXPECT_EQ(ring.size(), 2u);
+}
+
 TEST(SpscRing, CrossThreadStress) {
   SpscRing<std::uint64_t> ring(64);
   constexpr std::uint64_t kN = 200000;

@@ -104,6 +104,40 @@ TEST(IoUring, DeferredCompletionFlowsThroughCq) {
   EXPECT_TRUE(ring.idle());
 }
 
+TEST(IoUring, CqOverflowBacklogsInOrderAndHoldsSq) {
+  // NODROP: completions that find the CQ full wait on a backlog, and while
+  // it cannot flush, enter() moves no SQE (the kernel's -EBUSY).
+  RamDisk disk(1 * MiB, /*deferred=*/true);
+  IoUring ring({.sq_entries = 4, .cq_entries = 8, .mode = RingMode::interrupt},
+               disk);
+  std::array<std::uint8_t, 512> buf{};
+  const auto addr = reinterpret_cast<std::uint64_t>(buf.data());
+  std::uint64_t ud = 0;
+  for (int batch = 0; batch < 3; ++batch) {
+    for (int i = 0; i < 4; ++i)
+      ASSERT_TRUE(ring.prep_write(0, addr, buf.size(), 0, ud++).ok());
+    ASSERT_EQ(ring.enter(), 4u);
+  }
+  EXPECT_EQ(disk.poll(), 12u);  // 8 fill the CQ, 4 go to the backlog
+  EXPECT_EQ(ring.cq_ready(), 8u);
+
+  for (int i = 0; i < 4; ++i)
+    ASSERT_TRUE(ring.prep_write(0, addr, buf.size(), 0, ud++).ok());
+  EXPECT_EQ(ring.enter(), 0u) << "SQ must be held while the backlog is full";
+  EXPECT_EQ(ring.sq_pending(), 4u);
+
+  std::array<Cqe, 8> cqes;
+  ASSERT_EQ(ring.peek_cqes(cqes), 8u);
+  for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(cqes[i].user_data, i);
+  EXPECT_EQ(ring.enter(), 4u) << "flushes the backlog, then drains the SQ";
+
+  EXPECT_EQ(disk.poll(), 4u);
+  ASSERT_EQ(ring.peek_cqes(cqes), 8u);
+  for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(cqes[i].user_data, 8 + i);
+  EXPECT_TRUE(ring.idle());
+  EXPECT_EQ(ring.stats().cqes_reaped, 16u);
+}
+
 TEST(IoUring, NopCompletesWithZero) {
   RamDisk disk(4096);
   IoUring ring({.sq_entries = 4, .mode = RingMode::interrupt}, disk);
