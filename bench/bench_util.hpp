@@ -57,53 +57,87 @@ inline void print_metrics_json(const core::Framework& fw,
   std::cout << fw.metrics().to_json() << "\n";
 }
 
-/// Run the Fig-6/7/8/9-style sweep: block sizes x rw modes x variants,
-/// printing one table per rw mode. `kiops` selects KIOPS vs MB/s output.
+/// The banner tools/run_benches.sh prints above each binary's output in
+/// bench_output.txt; a binary that prints a second figure prints it too.
+inline void print_bench_banner(const std::string& bench) {
+  const std::string rule(64, '#');
+  std::cout << rule << "\n### " << bench << "\n" << rule << "\n";
+}
+
+struct FigureText {
+  std::string title;
+  std::string paper_ref;
+};
+
+/// Run the Fig 6/7 (or Fig 8/9) sweep once — block sizes x rw modes x
+/// variants — and print it as two figures: the MB/s tables, then, under the
+/// `kiops_bench` banner, the KIOPS tables of the same runs. One table per rw
+/// mode; each figure ends with the metrics appendix of one representative
+/// cell (first variant, 4 kB random write) so it can be decomposed by hop.
 inline void run_figure_sweep(core::PoolMode pool,
                              const std::vector<core::VariantKind>& variants,
-                             bool kiops) {
+                             const FigureText& mbps,
+                             const std::string& kiops_bench,
+                             const FigureText& kiops) {
   using workload::RwMode;
-  for (RwMode rw : {RwMode::seq_read, RwMode::seq_write, RwMode::rand_read,
-                    RwMode::rand_write}) {
-    std::vector<std::string> headers{std::string(workload::rw_name(rw)) +
-                                     (kiops ? " [KIOPS]" : " [MB/s]")};
-    for (auto bs : kBlockSizes) headers.push_back(bs_name(bs));
-    TextTable table(headers);
+  constexpr RwMode kModes[] = {RwMode::seq_read, RwMode::seq_write,
+                               RwMode::rand_read, RwMode::rand_write};
+  auto spec_for = [](RwMode rw, std::uint64_t bs) {
+    workload::FioJobSpec spec;
+    spec.rw = rw;
+    spec.bs = bs;
+    spec.iodepth = 32;
+    spec.runtime = ms(300);
+    spec.ramp = ms(40);
+    spec.seed = 11;
+    return spec;
+  };
+
+  // results[rw][variant][bs]
+  std::vector<std::vector<std::vector<workload::FioResult>>> results;
+  for (RwMode rw : kModes) {
+    auto& by_variant = results.emplace_back();
     for (core::VariantKind v : variants) {
-      std::vector<std::string> row{std::string(core::variant_short_name(v))};
-      for (auto bs : kBlockSizes) {
-        workload::FioJobSpec spec;
-        spec.rw = rw;
-        spec.bs = bs;
-        spec.iodepth = 32;
-        spec.runtime = ms(300);
-        spec.ramp = ms(40);
-        spec.seed = 11;
-        auto r = run_fio(v, pool, spec, 128 * MiB);
-        row.push_back(TextTable::num(kiops ? r.iops() / 1000.0 : r.mbps(), 1));
-      }
-      table.add_row(std::move(row));
+      auto& by_bs = by_variant.emplace_back();
+      for (auto bs : kBlockSizes)
+        by_bs.push_back(run_fio(v, pool, spec_for(rw, bs), 128 * MiB));
     }
-    table.print(std::cout);
-    std::cout << "\n";
   }
 
-  // Per-stage latency appendix for one representative cell (first variant,
-  // 4 kB random write) so the sweep's figures can be decomposed by hop.
-  workload::FioJobSpec spec;
-  spec.rw = RwMode::rand_write;
-  spec.bs = 4 * KiB;
-  spec.iodepth = 32;
-  spec.runtime = ms(300);
-  spec.ramp = ms(40);
-  spec.seed = 11;
   sim::Simulator sim;
   core::Framework fw(sim, make_config(variants.front(), pool, 128 * MiB));
   workload::FioEngine engine(fw);
-  engine.run(spec);
-  print_metrics_json(fw, std::string(core::variant_short_name(
-                             variants.front())) +
-                             " rand_write 4k qd32");
+  engine.run(spec_for(RwMode::rand_write, 4 * KiB));
+  const std::string appendix_label =
+      std::string(core::variant_short_name(variants.front())) +
+      " rand_write 4k qd32";
+
+  auto print_figure = [&](const FigureText& text, bool as_kiops) {
+    print_header(text.title, text.paper_ref);
+    for (std::size_t m = 0; m < results.size(); ++m) {
+      std::vector<std::string> headers{
+          std::string(workload::rw_name(kModes[m])) +
+          (as_kiops ? " [KIOPS]" : " [MB/s]")};
+      for (auto bs : kBlockSizes) headers.push_back(bs_name(bs));
+      TextTable table(headers);
+      for (std::size_t v = 0; v < variants.size(); ++v) {
+        std::vector<std::string> row{
+            std::string(core::variant_short_name(variants[v]))};
+        for (const auto& r : results[m][v])
+          row.push_back(
+              TextTable::num(as_kiops ? r.iops() / 1000.0 : r.mbps(), 1));
+        table.add_row(std::move(row));
+      }
+      table.print(std::cout);
+      std::cout << "\n";
+    }
+    print_metrics_json(fw, appendix_label);
+  };
+
+  print_figure(mbps, /*as_kiops=*/false);
+  std::cout << "\n";
+  print_bench_banner(kiops_bench);
+  print_figure(kiops, /*as_kiops=*/true);
 }
 
 }  // namespace dk::bench

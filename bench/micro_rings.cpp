@@ -1,6 +1,6 @@
 // Host-side microbenchmark (real CPU time): SQ/CQ ring mechanics — single
-// push/pop, batched transfer, and the live io_uring front-end over a RAM
-// disk, quantifying the per-op cost of the zero-copy ring interface.
+// push/pop, and the io_uring front-end over a RAM disk, one SQE or a batch
+// per enter(), quantifying the per-op cost of the zero-copy ring interface.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -14,32 +14,17 @@ namespace {
 
 using namespace dk;
 
-void BM_SpscPushPop(benchmark::State& state) {
-  SpscRing<uring::Sqe> ring(256);
+void BM_RingPushPop(benchmark::State& state) {
+  RingBuffer<uring::Sqe> ring(256);
   uring::Sqe sqe{};
-  uring::Sqe out{};
   for (auto _ : state) {
-    ring.try_push(sqe);
-    ring.try_pop(out);
+    ring.push(sqe);
+    auto out = ring.pop();
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SpscPushPop);
-
-void BM_SpscBatch(benchmark::State& state) {
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  SpscRing<uring::Sqe> ring(256);
-  std::vector<uring::Sqe> in(batch);
-  std::vector<uring::Sqe> out(batch);
-  for (auto _ : state) {
-    ring.try_push_batch(in.data(), batch);
-    ring.try_pop_batch(out.data(), batch);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SpscBatch)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_RingPushPop);
 
 void BM_UringWrite4k(benchmark::State& state) {
   uring::RamDisk disk(64 * MiB);

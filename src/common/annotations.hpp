@@ -51,11 +51,6 @@
 /// On a function: acquires the capability when returning `b`.
 #define DK_TRY_ACQUIRE(b, ...) DK_TSA_(try_acquire_capability(b, __VA_ARGS__))
 
-/// Escape hatch for patterns the analysis cannot follow (e.g. a condition
-/// variable relocking its mutex inside wait()). Always pair with a comment
-/// saying why the function is exempt.
-#define DK_NO_THREAD_SAFETY_ANALYSIS DK_TSA_(no_thread_safety_analysis)
-
 // --- hot-path marker --------------------------------------------------------
 
 #if defined(__clang__)

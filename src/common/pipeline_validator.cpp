@@ -28,7 +28,6 @@ std::string_view PipelineValidator::violation_name(Violation kind) {
   switch (kind) {
     case Violation::ring_accounting: return "ring_accounting";
     case Violation::double_completion: return "double_completion";
-    case Violation::cqe_dropped: return "cqe_dropped";
     case Violation::tag_double_acquire: return "tag_double_acquire";
     case Violation::tag_bad_release: return "tag_bad_release";
     case Violation::tag_overflow: return "tag_overflow";
@@ -106,15 +105,6 @@ void PipelineValidator::on_cqe_posted(unsigned ring, std::uint64_t user_data) {
     return;
   }
   if (--it->second == 0) r.inflight.erase(it);
-}
-
-void PipelineValidator::on_cqe_dropped(unsigned ring,
-                                       std::uint64_t user_data) {
-  RecursiveMutexLock lock(mu_);
-  std::ostringstream os;
-  os << "ring " << ring << ": CQ overflow dropped completion for user_data "
-     << user_data;
-  violation(Violation::cqe_dropped, __LINE__, os.str());
 }
 
 void PipelineValidator::on_cqes_reaped(unsigned ring, unsigned n) {

@@ -8,8 +8,8 @@
 //
 //   * SQ/CQ rings: head/tail monotonicity (queued >= issued, posted >=
 //     reaped as cumulative indices), SQE/CQE accounting balance, and
-//     per-user_data completion tracking that catches double completions and
-//     dropped CQEs.
+//     per-user_data completion tracking that catches double completions
+//     (and, at quiescence, completions never posted).
 //   * blk-mq tags: every acquired tag is released exactly once, in-flight
 //     never exceeds the tag-set depth, and teardown finds zero leaks.
 //   * QDMA descriptors: each descriptor is posted -> fetched -> completed
@@ -23,9 +23,8 @@
 // one validator per instance (Framework::validator()) wired to every layer
 // it assembles.
 //
-// Thread safety: all hooks take an internal lock, so rings driven by a live
-// SqPollThread can report from the poll thread while the application thread
-// reports reaps.
+// Thread safety: all hooks take an internal lock, so pipelines on different
+// threads may share one validator.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +44,6 @@ class PipelineValidator {
   enum class Violation : std::uint8_t {
     ring_accounting,    // cumulative SQ/CQ indices regressed or crossed
     double_completion,  // CQE posted for a user_data not in flight
-    cqe_dropped,        // completion lost to CQ overflow
     tag_double_acquire, // tag handed out while still held
     tag_bad_release,    // tag released while not held
     tag_overflow,       // in-flight tags exceed the tag-set depth
@@ -60,7 +58,7 @@ class PipelineValidator {
     background_leak,    // a scheduled scrub chunk / recovery move neither
                         // completed nor cancelled
   };
-  static constexpr std::size_t kViolationKinds = 15;
+  static constexpr std::size_t kViolationKinds = 14;
 
   static std::string_view violation_name(Violation kind);
 
@@ -74,7 +72,6 @@ class PipelineValidator {
   void on_sqe_queued(unsigned ring);
   void on_sqe_issued(unsigned ring, std::uint64_t user_data);
   void on_cqe_posted(unsigned ring, std::uint64_t user_data);
-  void on_cqe_dropped(unsigned ring, std::uint64_t user_data);
   void on_cqes_reaped(unsigned ring, unsigned n);
 
   // --- blk-mq tag lifecycle ---------------------------------------------

@@ -1,14 +1,8 @@
-// Fixed-capacity power-of-two ring buffers.
-//
-// Two flavours:
-//   RingBuffer<T>     — single-threaded bounded queue (used inside the DES).
-//   SpscRing<T>       — lock-free single-producer/single-consumer ring with
-//                       acquire/release semantics; this is the exact shape of
-//                       the io_uring SQ/CQ rings DeLiBA-K builds on (shared
-//                       head/tail indices, entries array, power-of-two mask).
+// Fixed-capacity power-of-two ring buffer: the single-threaded bounded
+// queue behind every DES ring (io_uring SQ/CQ, QDMA H2C/C2H). Its head/tail
+// indices and power-of-two mask are the shape of the io_uring shared rings.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -66,83 +60,6 @@ class RingBuffer {
   std::vector<T> slots_;
   std::uint64_t head_ = 0;
   std::uint64_t tail_ = 0;
-};
-
-/// Lock-free SPSC ring. Producer calls try_push, consumer calls try_pop.
-/// Mirrors the io_uring shared-ring layout: a head index owned by the
-/// consumer, a tail index owned by the producer, and a power-of-two mask.
-template <typename T>
-class SpscRing {
- public:
-  explicit SpscRing(std::size_t capacity)
-      : mask_(next_power_of_two(capacity) - 1),
-        slots_(mask_ + 1) {}
-
-  std::size_t capacity() const { return mask_ + 1; }
-
-  /// Number of filled entries (approximate under concurrency).
-  std::size_t size() const {
-    return tail_.load(std::memory_order_acquire) -
-           head_.load(std::memory_order_acquire);
-  }
-
-  bool try_push(const T& value) {
-    return try_push(value, [] {});
-  }
-
-  /// try_push that calls `before_publish()` once the slot is known to be
-  /// free and has been written, before the release store of the tail. What
-  /// the callback records therefore happens-before the consumer's pop of
-  /// this entry. Not called when the ring is full.
-  template <typename F>
-  bool try_push(const T& value, F&& before_publish) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    if (tail - head > mask_) return false;  // full
-    slots_[tail & mask_] = value;
-    before_publish();
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  bool try_pop(T& out) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    if (head == tail) return false;  // empty
-    out = slots_[head & mask_];
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Batched push: writes as many entries as fit, advances tail once.
-  /// Returns the number pushed. This is the mechanism behind io_uring's
-  /// single-syscall batching of SQEs.
-  std::size_t try_push_batch(const T* values, std::size_t n) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    const std::size_t space = capacity() - static_cast<std::size_t>(tail - head);
-    const std::size_t m = n < space ? n : space;
-    for (std::size_t i = 0; i < m; ++i) slots_[(tail + i) & mask_] = values[i];
-    tail_.store(tail + m, std::memory_order_release);
-    return m;
-  }
-
-  /// Batched pop into `out`; returns the number popped.
-  std::size_t try_pop_batch(T* out, std::size_t n) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    const std::size_t avail = static_cast<std::size_t>(tail - head);
-    const std::size_t m = n < avail ? n : avail;
-    for (std::size_t i = 0; i < m; ++i) out[i] = slots_[(head + i) & mask_];
-    head_.store(head + m, std::memory_order_release);
-    return m;
-  }
-
- private:
-  std::size_t mask_;
-  std::vector<T> slots_;
-  alignas(64) std::atomic<std::uint64_t> head_{0};
-  alignas(64) std::atomic<std::uint64_t> tail_{0};
 };
 
 }  // namespace dk

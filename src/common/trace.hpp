@@ -25,7 +25,7 @@ namespace dk {
 /// The hops of one I/O, in pipeline order (see docs/ARCHITECTURE.md).
 enum class Stage : std::uint8_t {
   submit = 0,       // application queues the SQE / enters the legacy syscall
-  sq_dispatch,      // SQ drained (enter() or SQ-poll thread); backend owns it
+  sq_dispatch,      // SQ drained (enter() or kernel_poll()); backend owns it
   blk_enter,        // host submission work charged; bio enters the DMQ layer
   driver_dispatch,  // blk-mq handed the request to UIFD (incl. payload DMA)
   rados_issue,      // FPGA stages done; RADOS op(s) put on the wire

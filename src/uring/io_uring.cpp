@@ -4,10 +4,6 @@
 
 namespace dk::uring {
 
-namespace {
-constexpr auto kRelaxed = std::memory_order_relaxed;
-}  // namespace
-
 IoUring::IoUring(UringParams params, Backend& backend)
     : params_(params),
       backend_(backend),
@@ -31,15 +27,12 @@ void IoUring::attach_validator(PipelineValidator& validator,
 }
 
 Status IoUring::prep(const Sqe& sqe) {
-  // Report before the tail publish: once it is visible the SQ consumer may
-  // pop the SQE and report it issued.
-  if (!sq_.try_push(sqe, [this] {
-        if (validator_) validator_->on_sqe_queued(ring_id_);
-      })) {
-    stats_.sq_full_rejects.fetch_add(1, kRelaxed);
+  if (!sq_.push(sqe)) {
+    ++stats_.sq_full_rejects;
     if (metrics_.sq_full) metrics_.sq_full->inc();
     return Status::Error(Errc::again, "SQ full");
   }
+  if (validator_) validator_->on_sqe_queued(ring_id_);
   return Status::Ok();
 }
 
@@ -103,11 +96,9 @@ bool IoUring::resolve(Sqe& sqe) {
 }
 
 bool IoUring::push_cqe(const Cqe& cqe) {
-  // Report before the tail publish: once it is visible the application may
-  // reap the CQE and report it reaped.
-  return cq_.try_push(cqe, [&] {
-    if (validator_) validator_->on_cqe_posted(ring_id_, cqe.user_data);
-  });
+  if (!cq_.push(cqe)) return false;
+  if (validator_) validator_->on_cqe_posted(ring_id_, cqe.user_data);
+  return true;
 }
 
 bool IoUring::flush_cq_backlog() {
@@ -172,26 +163,26 @@ unsigned IoUring::drain_sq() {
   // application has to reap.
   if (!flush_cq_backlog()) return 0;
   unsigned n = 0;
-  Sqe sqe;
-  while (sq_.try_pop(sqe)) {
+  while (auto popped = sq_.pop()) {
+    const Sqe& sqe = *popped;
     ++n;
-    stats_.sqes_submitted.fetch_add(1, kRelaxed);
+    ++stats_.sqes_submitted;
     if (validator_) validator_->on_sqe_issued(ring_id_, sqe.user_data);
     if (sqe.flags & kSqeLink) {
       // Collect the full chain: every linked SQE plus the terminator.
       auto chain = std::make_shared<std::vector<Sqe>>();
       chain->push_back(sqe);
       while (chain->back().flags & kSqeLink) {
-        Sqe next;
-        if (!sq_.try_pop(next)) {
+        auto next = sq_.pop();
+        if (!next) {
           // Dangling link: treat the chain as complete (kernel behaviour is
           // to only link against SQEs submitted in the same batch).
           break;
         }
         ++n;
-        stats_.sqes_submitted.fetch_add(1, kRelaxed);
-        if (validator_) validator_->on_sqe_issued(ring_id_, next.user_data);
-        chain->push_back(next);
+        ++stats_.sqes_submitted;
+        if (validator_) validator_->on_sqe_issued(ring_id_, next->user_data);
+        chain->push_back(*next);
       }
       issue_chain(std::move(chain), 0);
       continue;
@@ -207,7 +198,7 @@ unsigned IoUring::drain_sq() {
 
 unsigned IoUring::enter() {
   if (params_.mode == RingMode::kernel_polled) return 0;
-  stats_.enter_calls.fetch_add(1, kRelaxed);
+  ++stats_.enter_calls;
   if (metrics_.enters) metrics_.enters->inc();
   return drain_sq();
 }
@@ -216,17 +207,21 @@ unsigned IoUring::kernel_poll() {
   if (params_.mode != RingMode::kernel_polled) return 0;
   const unsigned n = drain_sq();
   if (n) {
-    stats_.sq_poll_wakeups.fetch_add(1, kRelaxed);
+    ++stats_.sq_poll_wakeups;
     if (metrics_.poll_wakeups) metrics_.poll_wakeups->inc();
   }
   return n;
 }
 
 unsigned IoUring::peek_cqes(std::span<Cqe> out) {
-  const unsigned n =
-      static_cast<unsigned>(cq_.try_pop_batch(out.data(), out.size()));
+  unsigned n = 0;
+  while (n < out.size()) {
+    auto cqe = cq_.pop();
+    if (!cqe) break;
+    out[n++] = *cqe;
+  }
   if (n) {
-    stats_.cqes_reaped.fetch_add(n, kRelaxed);
+    stats_.cqes_reaped += n;
     if (metrics_.cqes) {
       metrics_.cqes->inc(n);
       metrics_.outstanding->sub(n);

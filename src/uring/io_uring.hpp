@@ -1,15 +1,19 @@
 // A from-scratch io_uring-style asynchronous I/O instance.
 //
-// Two lock-free SPSC rings — the Submission Queue (application-produced)
-// and the Completion Queue (backend-produced) — plus a pluggable backend
-// that plays the role of the kernel block layer / UIFD driver underneath.
+// Two bounded rings — the Submission Queue (application-produced) and the
+// Completion Queue (backend-produced) — plus a pluggable backend that plays
+// the role of the kernel block layer / UIFD driver underneath. An instance
+// is single-threaded, like every DES component: the application, the
+// kernel_poll() calls and every backend completion (the DES, or RamDisk
+// inline or from its poll()) run on one thread.
 //
 // Faithful to the semantics DeLiBA-K relies on:
 //   * zero-copy communication: SQEs/CQEs move through shared rings; the
 //     data buffer is referenced by address, never copied by the ring;
 //   * batching: any number of queued SQEs are handed to the backend with
 //     ONE enter() call (one "system call");
-//   * kernel-polled mode: a poller drains the SQ without enter() calls;
+//   * kernel-polled mode: kernel_poll(), called by the DES at the modeled
+//     SQ-poll times, drains the SQ without enter() calls;
 //   * multi-instance with per-CPU binding (see UringRegistry);
 //   * no lost completions (IORING_FEAT_NODROP, every kernel since 5.5): a
 //     CQE that finds the CQ full waits, in order, on an overflow backlog
@@ -60,9 +64,7 @@ struct UringParams {
   int bound_cpu = -1;         // CPU this instance's SQ handling is pinned to
 };
 
-/// Snapshot of ring accounting. The live counters are atomics inside
-/// IoUring (the SQ-poll thread and the application update them from
-/// different threads); stats() copies them into this plain struct.
+/// Ring accounting.
 struct UringStats {
   std::uint64_t sqes_submitted = 0;
   std::uint64_t cqes_reaped = 0;
@@ -85,24 +87,13 @@ class IoUring {
   IoUring& operator=(const IoUring&) = delete;
 
   const UringParams& params() const { return params_; }
-  UringStats stats() const {
-    UringStats s;
-    s.sqes_submitted = stats_.sqes_submitted.load(std::memory_order_relaxed);
-    s.cqes_reaped = stats_.cqes_reaped.load(std::memory_order_relaxed);
-    s.enter_calls = stats_.enter_calls.load(std::memory_order_relaxed);
-    s.sq_poll_wakeups =
-        stats_.sq_poll_wakeups.load(std::memory_order_relaxed);
-    s.sq_full_rejects =
-        stats_.sq_full_rejects.load(std::memory_order_relaxed);
-    return s;
-  }
+  const UringStats& stats() const { return stats_; }
   unsigned sq_capacity() const { return static_cast<unsigned>(sq_.capacity()); }
   std::size_t sq_pending() const { return sq_.size(); }
   std::size_t cq_ready() const { return cq_.size(); }
   /// Submitted and not yet in the CQ or reaped; includes the CQ backlog.
   std::uint64_t inflight() const {
-    return stats_.sqes_submitted.load(std::memory_order_relaxed) -
-           stats_.cqes_reaped.load(std::memory_order_relaxed) - cq_.size();
+    return stats_.sqes_submitted - stats_.cqes_reaped - cq_.size();
   }
 
   /// Queue an SQE (application side). Fails with `again` when the SQ is
@@ -160,9 +151,8 @@ class IoUring {
   /// Report ring lifecycle events (SQE queued/issued, CQE posted/reaped)
   /// to `validator` as ring `ring_id`. Same pattern as attach_metrics(): a
   /// null-checked pointer on the hot path. Queued and posted are reported
-  /// before the SQ/CQ tail publish, so they always precede the other
-  /// thread's issued/reaped report. A backlogged CQE counts as posted when
-  /// it reaches the CQ.
+  /// only for entries the SQ/CQ accepted; a backlogged CQE counts as posted
+  /// when it reaches the CQ.
   void attach_validator(PipelineValidator& validator, unsigned ring_id);
 
  private:
@@ -180,26 +170,13 @@ class IoUring {
   void issue(const Sqe& sqe);
   void issue_chain(std::shared_ptr<std::vector<Sqe>> chain, std::size_t at);
 
-  // Live counters behind the UringStats snapshot; each may be written by
-  // the SQ-poll thread while the application thread reads or writes others.
-  struct AtomicStats {
-    std::atomic<std::uint64_t> sqes_submitted{0};
-    std::atomic<std::uint64_t> cqes_reaped{0};
-    std::atomic<std::uint64_t> enter_calls{0};
-    std::atomic<std::uint64_t> sq_poll_wakeups{0};
-    std::atomic<std::uint64_t> sq_full_rejects{0};
-  };
-
   UringParams params_;
   Backend& backend_;
-  SpscRing<Sqe> sq_;
-  SpscRing<Cqe> cq_;
-  // CQ overflow backlog. Needs no lock: only the CQ producer touches it,
-  // and that is the thread that drains the SQ, which already posts the
-  // -invalid_argument and canceled CQEs itself. Backend completions must
-  // run on that thread too (the DES, RamDisk inline or its poll()).
+  RingBuffer<Sqe> sq_;
+  RingBuffer<Cqe> cq_;
+  // CQ overflow backlog, flushed in order ahead of any newer CQE.
   std::deque<Cqe> cq_backlog_;
-  AtomicStats stats_;
+  UringStats stats_;
   std::vector<std::pair<std::uint64_t, std::uint32_t>> buffers_;
   std::vector<std::int32_t> files_;
 

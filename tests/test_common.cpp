@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -149,57 +148,6 @@ TEST(RingBuffer, WrapAroundManyTimes) {
     EXPECT_EQ(rb.pop().value(), round);
   }
   EXPECT_TRUE(rb.empty());
-}
-
-TEST(SpscRing, SingleThreadedBatch) {
-  SpscRing<int> ring(8);
-  int in[5] = {1, 2, 3, 4, 5};
-  EXPECT_EQ(ring.try_push_batch(in, 5), 5u);
-  int out[8] = {};
-  EXPECT_EQ(ring.try_pop_batch(out, 8), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(out[i], in[i]);
-}
-
-TEST(SpscRing, BatchPushRespectsCapacity) {
-  SpscRing<int> ring(4);
-  int in[10] = {};
-  EXPECT_EQ(ring.try_push_batch(in, 10), 4u);
-  EXPECT_EQ(ring.try_push_batch(in, 10), 0u);
-}
-
-TEST(SpscRing, BeforePublishRunsUnpublishedAndOnlyOnSuccess) {
-  SpscRing<int> ring(2);
-  int calls = 0;
-  for (int v = 0; v < 3; ++v) {
-    ring.try_push(v, [&] {
-      ++calls;
-      EXPECT_EQ(ring.size(), static_cast<std::size_t>(v))
-          << "entry visible before its callback ran";
-    });
-  }
-  EXPECT_EQ(calls, 2) << "callback ran for a push into a full ring";
-  EXPECT_EQ(ring.size(), 2u);
-}
-
-TEST(SpscRing, CrossThreadStress) {
-  SpscRing<std::uint64_t> ring(64);
-  constexpr std::uint64_t kN = 200000;
-  std::uint64_t sum = 0;
-  std::thread consumer([&] {
-    std::uint64_t got = 0;
-    std::uint64_t v;
-    while (got < kN) {
-      if (ring.try_pop(v)) {
-        sum += v;
-        ++got;
-      }
-    }
-  });
-  for (std::uint64_t i = 1; i <= kN;) {
-    if (ring.try_push(i)) ++i;
-  }
-  consumer.join();
-  EXPECT_EQ(sum, kN * (kN + 1) / 2);
 }
 
 TEST(Status, OkAndErrorRoundTrip) {

@@ -4,6 +4,7 @@
 
 #include <array>
 
+#include "common/pipeline_validator.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "uring/io_uring.hpp"
@@ -55,6 +56,8 @@ TEST(IoUring, BatchingManySqesOneEnterCall) {
 TEST(IoUring, SqFullReturnsAgain) {
   RamDisk disk(1 * MiB);
   IoUring ring({.sq_entries = 4, .mode = RingMode::interrupt}, disk);
+  PipelineValidator validator;
+  ring.attach_validator(validator, 0);
   std::array<std::uint8_t, 16> buf{};
   for (int i = 0; i < 4; ++i)
     ASSERT_TRUE(ring.prep_write(0, reinterpret_cast<std::uint64_t>(buf.data()),
@@ -63,6 +66,14 @@ TEST(IoUring, SqFullReturnsAgain) {
                            buf.size(), 0, 0);
   EXPECT_EQ(s.code(), Errc::again);
   EXPECT_EQ(ring.stats().sq_full_rejects, 1u);
+
+  // The rejected SQE was never queued, so it reports nothing: the four
+  // accepted ones drain and reap with the validator balanced.
+  EXPECT_EQ(ring.enter(), 4u);
+  std::array<Cqe, 8> cqes;
+  EXPECT_EQ(ring.peek_cqes(cqes), 4u);
+  EXPECT_EQ(validator.violations(), 0u);
+  EXPECT_EQ(validator.verify_quiescent(), 0u);
 }
 
 TEST(IoUring, KernelPolledModeNeedsNoEnterCalls) {
